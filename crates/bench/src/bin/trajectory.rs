@@ -34,7 +34,8 @@
 //!   alongside (amortised over 32-query timed sub-batches, nearest-rank
 //!   percentiles);
 //! * `demand/matrix_build_t4` vs `demand/single_query` — building one
-//!   giant function's full packed alias matrix (the O(P²) wall) vs one
+//!   giant function's alias matrix (one in-block triangle per alias
+//!   clique — still the O(P²) wall) vs one
 //!   cold demand-driven query through a fresh [`sra_core::DemandCache`]
 //!   (PR 7's ≥10× floor). The giant function's packed-matrix byte
 //!   accounting rides along in the JSON;
@@ -89,7 +90,7 @@ use sra_bench::{
 };
 use sra_core::{
     pointer_values, AliasMatrix, AliasResult, AliasService, AnalysisConfig, AnalysisSession,
-    BatchAnalysis, PhaseStats, RbaaAnalysis,
+    BatchAnalysis, PhaseStats, RbaaAnalysis, WorkerPool,
 };
 use sra_lang::SourceProgram;
 use sra_symbolic::{ExprArena, RangeId, SymRange};
@@ -127,8 +128,8 @@ const SERVICE_FLOOR: f64 = 0.4;
 const SERVICE_GATE: f64 = 0.2;
 /// The demand group's contract is structural, not a timing nuance: a
 /// single demand query interns two signatures and proves one pair,
-/// while the matrix build proves the whole signature triangle and
-/// fills millions of packed cells. Anything under 10× means demand
+/// while the matrix build partitions the whole function and proves
+/// every in-block pair. Anything under 10× means demand
 /// mode started doing eager work, so floor and gate coincide.
 const DEMAND_FLOOR: f64 = 10.0;
 const DEMAND_GATE: f64 = 10.0;
@@ -462,8 +463,8 @@ fn main() {
         single_qps.0, mixed.queries_per_sec, mixed.p99_ns
     );
 
-    // Group 5: the O(P²) wall. Building the giant function's full
-    // packed matrix vs answering one cold query through a fresh
+    // Group 5: the O(P²) wall. Building the giant function's
+    // block-diagonal matrix vs answering one cold query through a fresh
     // demand cache (fresh per sample, so the measured cost includes
     // signature interning — the cache-miss path, not a warm memo hit).
     let giant = scaling::generate_giant_function(GIANT_PTRS, GIANT_CLIQUES, SCALING_SEED);
@@ -474,17 +475,19 @@ fn main() {
         giant_ptrs[0],
         *giant_ptrs.last().expect("thousands of pointers"),
     );
-    let matrix_build = median_time(|| {
-        AliasMatrix::build_with(&giant_rbaa, &giant, giant_f, 4)
-            .bytes()
-            .pairs
-    });
+    // One-shot pool inside the timed region, as this group always
+    // measured it.
+    let giant_matrix = || {
+        let pool = WorkerPool::forced(4);
+        AliasMatrix::build_for_on(&giant_rbaa, giant_f, pointer_values(&giant, giant_f), &pool)
+    };
+    let matrix_build = median_time(|| giant_matrix().bytes().pairs);
     let single_query = median_time(|| {
         let mut cache = giant_rbaa.demand_cache();
         usize::from(cache.query(&giant_rbaa, giant_f, p, q).0 == AliasResult::NoAlias)
     });
     let demand_ratio = matrix_build.as_secs_f64() / single_query.as_secs_f64();
-    let giant_bytes = AliasMatrix::build_with(&giant_rbaa, &giant, giant_f, 4).bytes();
+    let giant_bytes = giant_matrix().bytes();
     eprintln!(
         "demand ({GIANT_PTRS} ptrs, {GIANT_CLIQUES} cliques): matrix build {matrix_build:?} \
          ({} pairs, {} KiB packed vs {} KiB unpacked), single query {single_query:?} \

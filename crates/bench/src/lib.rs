@@ -63,7 +63,8 @@ pub fn per_query_sweep(m: &Module, rbaa: &RbaaAnalysis) -> QueryStats {
 /// built on `threads` workers with hash-consed range comparisons.
 pub fn batched_sweep(m: &Module, rbaa: &RbaaAnalysis, threads: usize) -> QueryStats {
     let matrices = pool::run_indexed(m.num_functions(), threads, |i| {
-        AliasMatrix::build(rbaa, m, FuncId::new(i))
+        let f = FuncId::new(i);
+        AliasMatrix::build_for_on(rbaa, f, pointer_values(m, f), &pool::WorkerPool::forced(1))
     });
     let mut total = QueryStats::default();
     for mx in &matrices {
@@ -205,7 +206,8 @@ pub fn legacy_scratch_pipeline(m: &Module, threads: usize) -> usize {
     let gr = GrAnalysis::analyze_with(m, &ranges, gr_config);
     let rbaa = RbaaAnalysis::from_pieces(ranges, gr, lrs);
     let matrices = pool::run_indexed(nf, threads, |i| {
-        AliasMatrix::build_with(&rbaa, m, FuncId::new(i), 1)
+        let f = FuncId::new(i);
+        AliasMatrix::build_for_on(&rbaa, f, pointer_values(m, f), &pool::WorkerPool::forced(1))
     });
     matrices.iter().map(|mx| mx.stats().queries).sum()
 }

@@ -256,22 +256,12 @@ impl BatchAnalysis {
         Self::from_rbaa_on(rbaa, m, &pool::WorkerPool::new(threads))
     }
 
-    /// Builds the per-function matrices over an existing analysis.
-    /// A single-function module hands the whole pool to that function's
-    /// signature triangle ([`AliasMatrix::build_with_on`] — `run_indexed`
-    /// of one job runs inline, leaving the workers free for the tiles);
-    /// several functions share the pool function-wise instead, so it is
-    /// never oversubscribed. Byte-identical either way.
+    /// Builds the per-function matrices over an existing analysis
+    /// ([`AliasMatrix::build_all_on`], whose cell tiles spread even a
+    /// single function's matrix over the whole pool).
     pub fn from_rbaa_on(rbaa: RbaaAnalysis, m: &Module, pool: &pool::WorkerPool) -> Self {
         let t = std::time::Instant::now();
-        let nf = m.num_functions();
-        let matrices = if nf == 1 {
-            // A lone function gets the whole pool for its signature
-            // triangle instead of one chunk of a one-function sweep.
-            vec![AliasMatrix::build_with_on(&rbaa, m, FuncId::new(0), pool)]
-        } else {
-            AliasMatrix::build_all_on(&rbaa, m, pool)
-        };
+        let matrices = AliasMatrix::build_all_on(&rbaa, m, pool);
         BatchAnalysis {
             rbaa,
             matrices,

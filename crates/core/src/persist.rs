@@ -30,16 +30,24 @@
 //! the loaded state is additionally compared against a scratch
 //! re-analysis before being returned.
 //!
-//! The demand cache's memo arenas and the alias matrices' position
-//! index are pure caches: they are rebuilt (or regrown lazily) after a
-//! load and never serialized, keeping snapshots small and verdicts
-//! unchanged.
+//! The demand cache's memo arenas and the alias matrices' lookup
+//! index (pointer columns, block offsets) and statistics are derived
+//! state: they are rebuilt (or regrown lazily) after a load and never
+//! serialized, keeping snapshots small and verdicts unchanged.
 //!
 //! Format version 2 length-frames every per-function item inside the
 //! part, GR-state and matrix sections (`Enc::nested`), so a loader
 //! can split a section into independent byte slices up front and
 //! decode the items on its worker pool — the framing is what makes the
 //! parallel warm-start load possible. Saves stay byte-deterministic.
+//!
+//! Format version 3 stores each alias matrix block-diagonally (see
+//! [`AliasMatrix`](crate::AliasMatrix)): the number of support blocks,
+//! every pointer's block code bit-packed in value order (the pointer
+//! universe itself is `pointer_values`, so it is not repeated), and
+//! the 2-bit cells of the blocks and ⊤ rows. The loader validates the
+//! codes, the cell-store length against the block sizes and every
+//! padding bit, and recomputes the statistics from the blocks.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -55,8 +63,10 @@ pub const SERVICE_MAGIC: [u8; 8] = *b"SRA1SERV";
 /// Bumped on any incompatible change to the layout. Loaders reject
 /// other versions with [`PersistError::UnsupportedVersion`].
 /// Version 2 added per-item length framing to the part, GR-state and
-/// matrix sections so loads can decode them in parallel.
-pub const FORMAT_VERSION: u32 = 2;
+/// matrix sections so loads can decode them in parallel. Version 3
+/// stores alias matrices block-diagonally: per-pointer block codes in
+/// place of the pointer universe, and no statistics.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tags, in stream order.
 pub(crate) mod tag {

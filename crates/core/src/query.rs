@@ -1,8 +1,8 @@
 //! Alias queries: the global test `QGR`, the local test `QLR`, the
 //! combined analysis of the paper's Figure 5, the per-function
-//! [`AliasMatrix`] cache that answers all-pairs workloads in `O(1)`
-//! per repeat query, and the [`DemandCache`] that answers single
-//! queries without paying the all-pairs triangle.
+//! block-diagonal [`AliasMatrix`] cache that answers all-pairs
+//! workloads in `O(1)` per repeat query, and the [`DemandCache`] that
+//! answers single queries without building any matrix.
 
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ pub enum WhichTest {
 ///
 /// Both modes are pinned byte-identical to the uncached
 /// [`RbaaAnalysis::alias_with_test`] reference; they trade *where* the
-/// work happens. `Matrix` pays the all-pairs triangle at (re)build time
+/// work happens. `Matrix` pays every in-block pair at (re)build time
 /// and answers lookups in `O(1)`; `Demand` builds nothing up front and
 /// proves each signature pair the first time a query needs it — the
 /// right choice when consumers touch a sparse subset of the `O(P²)`
@@ -348,13 +348,20 @@ const CELL_MAY: u8 = 0;
 const CELL_DISTINCT: u8 = 1;
 const CELL_GLOBAL: u8 = 2;
 const CELL_LOCAL: u8 = 3;
+/// A signature-pair memo slot not yet proved (never a cell code).
+const UNPROVED: u8 = u8::MAX;
+/// The column of a value outside a matrix's pointer universe.
+const NO_COLUMN: u32 = u32::MAX;
 
-/// Functions per scratch-overlay window in
-/// [`AliasMatrix::build_all_on`]: the memo tables are rebuilt from
-/// empty after this many functions so they stay cache-sized on
-/// module-scale sweeps while still amortising disjointness proofs
-/// across the (heavily state-sharing) functions inside one window.
+/// Functions a matrix-build tile walks before it restarts its scratch
+/// overlay arenas: the memo tables stay cache-sized on module-scale
+/// sweeps while still amortising disjointness proofs across the
+/// (heavily state-sharing) functions inside one window.
 const SCRATCH_WINDOW: usize = 1024;
+
+/// Tiles per pool worker in each parallel phase of the matrix builder;
+/// dynamic claiming balances the uneven ones.
+const TILES_PER_WORKER: usize = 4;
 
 fn decode_cell(cell: u8) -> (AliasResult, Option<WhichTest>) {
     match cell {
@@ -372,17 +379,87 @@ fn get_packed(cells: &[u8], idx: usize) -> u8 {
     (cells[idx >> 2] >> ((idx & 3) * 2)) & 3
 }
 
-/// Byte accounting of packed [`AliasMatrix`] cell storage, in the style
-/// of [`ArenaStats`]: the triangular bitset holds four 2-bit verdicts
-/// per byte, so `packed_bytes ≈ pairs / 4` against the one-byte-per-pair
-/// layout recorded in `unpacked_bytes`.
+/// Unordered pairs among `n` items — equivalently, the lower-triangle
+/// index of the first cell in row `n`.
+#[inline]
+fn tri(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+/// The row holding lower-triangle index `t`: the largest `h` with
+/// `tri(h) ≤ t`.
+fn tri_row(t: usize) -> usize {
+    let mut h = ((1.0 + (1.0 + 8.0 * t as f64).sqrt()) / 2.0) as usize;
+    while tri(h) > t {
+        h -= 1;
+    }
+    while tri(h + 1) <= t {
+        h += 1;
+    }
+    h
+}
+
+/// Bits needed to store every value in `0..=max` (zero when `max == 0`).
+fn bit_width(max: usize) -> u32 {
+    usize::BITS - max.leading_zeros()
+}
+
+/// Reads value `idx` of a table packed at `width ≤ 32` bits per value
+/// (little-endian, as written by [`pack_bits`]).
+#[inline]
+fn get_bits(bytes: &[u8], idx: usize, width: u32) -> u32 {
+    if width == 0 {
+        return 0;
+    }
+    let bit = idx * width as usize;
+    let word = match bytes.get(bit / 8..bit / 8 + 8) {
+        Some(window) => u64::from_le_bytes(window.try_into().expect("eight bytes")),
+        None => bytes[bit / 8..]
+            .iter()
+            .rev()
+            .fold(0, |word, &b| word << 8 | u64::from(b)),
+    };
+    ((word >> (bit % 8)) & ((1u64 << width) - 1)) as u32
+}
+
+/// Packs `n` values at `width` bits each; the padding bits of the last
+/// byte stay zero.
+fn pack_bits(values: impl IntoIterator<Item = u32>, n: usize, width: u32) -> Vec<u8> {
+    let mut out = vec![0u8; (n * width as usize).div_ceil(8)];
+    if width > 0 {
+        for (i, v) in values.into_iter().enumerate() {
+            let bit = i * width as usize;
+            let word = u64::from(v) << (bit % 8);
+            for (k, byte) in out[bit / 8..].iter_mut().take(5).enumerate() {
+                *byte |= (word >> (8 * k)) as u8;
+            }
+        }
+    }
+    out
+}
+
+/// `true` when every bit past the first `used_bits` of `bytes` is zero
+/// (`bytes` is exactly `used_bits.div_ceil(8)` long).
+fn padding_clear(bytes: &[u8], used_bits: usize) -> bool {
+    used_bits.is_multiple_of(8) || bytes.last().is_none_or(|&b| b >> (used_bits % 8) == 0)
+}
+
+/// Byte accounting of an [`AliasMatrix`]'s verdict storage, in the
+/// style of [`ArenaStats`]. `pairs` is the pair universe the matrix
+/// answers, and `unpacked_bytes` what one byte per pair would take.
+/// `packed_bytes` is what the matrix actually stores: the 2-bit cells
+/// of its blocks and ⊤ rows (four per byte) plus the bit-packed block
+/// id of every in-block pointer, which make every other pair implicit
+/// (a singleton's, ⊤'s or ⊥'s column range says what it is). The
+/// lookup index rebuilt on load (pointer columns and block offsets) is
+/// counted by neither figure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatrixBytes {
-    /// Unordered pointer pairs the matrix caches (its cell count).
+    /// Unordered pointer pairs the matrix answers (its pair universe).
     pub pairs: usize,
-    /// Bytes actually allocated for the packed 2-bit cells.
+    /// Bytes stored: packed cells plus in-block pointers' block ids.
     pub packed_bytes: usize,
-    /// Bytes the former one-byte-per-cell layout would allocate.
+    /// Bytes a one-byte-per-pair table of the universe would allocate.
     pub unpacked_bytes: usize,
 }
 
@@ -394,38 +471,156 @@ impl MatrixBytes {
         self.unpacked_bytes += other.unpacked_bytes;
     }
 
-    /// Memory saving of the packed layout (`unpacked / packed`, ~4× at
-    /// scale); `0.0` for an empty matrix.
+    /// Memory saving over one byte per pair (`unpacked / packed`):
+    /// `0.0` for a matrix without pairs, and infinite for one whose
+    /// pairs are all implicit (nothing stored at all).
     pub fn saving_ratio(&self) -> f64 {
-        if self.packed_bytes == 0 {
+        if self.unpacked_bytes == 0 {
             0.0
+        } else if self.packed_bytes == 0 {
+            f64::INFINITY
         } else {
             self.unpacked_bytes as f64 / self.packed_bytes as f64
         }
     }
 }
 
-/// The cached all-pairs verdicts of one function: every unordered pair
-/// of pointer-typed values of `f`, evaluated once over the analyses'
-/// interned states, packed into a triangular bitset of 2-bit cells
-/// (four verdicts per byte — see [`MatrixBytes`]).
+/// The cached all-pairs verdicts of one function, stored
+/// block-diagonally by GR support.
 ///
-/// The build works directly on the GR and LR module arenas' handles —
-/// state signatures are `RangeId` vectors, no re-interning — through
-/// per-build *overlay* arenas ([`ExprArena::with_base`]), so every
-/// distinct range comparison is proved once and matrix builds can run
-/// on worker threads against one shared analysis. Verdicts are
-/// byte-identical to [`RbaaAnalysis::alias_with_test`] — the
-/// workspace's equivalence property tests pin this, for the serial and
-/// the tiled parallel build alike.
+/// Two pointers can only alias when their supports can overlap:
+/// distinct `malloc`/`alloca`/global sites are always separable, and
+/// only `Unknown`×`Unknown` and `Unknown`×`Global` site pairs are not
+/// ([`LocKind::separable_from`]). The builder union-finds each
+/// function's support locations, with every `Unknown` and `Global` site
+/// collapsed into one class, and stores
+///
+/// * a dense triangle of 2-bit cells (four per byte) among the pointers
+///   of each class holding two or more of them — a *block*;
+/// * nothing for a pointer alone in its class;
+/// * a row for each ⊤ pointer against every non-⊥ pointer;
+/// * nothing for ⊥ pointers (they concretize to no address).
+///
+/// Every pair not stored — across blocks, with a singleton, or with a
+/// ⊥ pointer — is `DistinctLocs` by construction, exactly as
+/// [`RbaaAnalysis::alias_with_test`] answers it, and the
+/// [`QueryStats`] follow from the block sizes plus the stored cells.
+/// Stored cells are proved on interned signature pairs through overlay
+/// arenas ([`ExprArena::with_base`]) over the analysis' module arenas,
+/// so builds run on worker threads against one shared analysis.
+/// Verdicts are byte-identical to [`RbaaAnalysis::alias_with_test`] at
+/// every pool width — the workspace's equivalence rails pin this.
+///
+/// The fields a lookup reads come first (`repr(C)` keeps that order),
+/// so a lookup on a cold matrix touches as few cache lines as it can.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct AliasMatrix {
+    /// The column of each value of the function (see [`Layout`]),
+    /// indexed by value; [`NO_COLUMN`] outside the pointer universe.
+    pos: Box<[u32]>,
+    /// 2-bit cells, four per byte: each block's lower triangle in block
+    /// order, then the ⊤ rows.
+    cells: Box<[u8]>,
+    /// The block index of each in-block column, `id_width` bits apiece.
+    ids: Box<[u8]>,
+    id_width: u32,
+    layout: Layout,
+    /// The pointer universe, in value order.
     ptrs: Vec<ValueId>,
-    pos: FxHashMap<ValueId, usize>,
-    /// 2-bit cells, four per byte; cell `k` is the verdict of the k-th
-    /// unordered pair in row-major upper-triangle order.
-    cells: Vec<u8>,
     stats: QueryStats,
+}
+
+/// The column structure of one [`AliasMatrix`]. Columns run in this
+/// order: the blocks (each a contiguous run, pointers in value order),
+/// then singletons, ⊤ pointers and ⊥ pointers (each in value order).
+/// Column `c` of a block starting at `s` meets the block's earlier
+/// columns in cells `off + tri(c − s) ..`; ⊤ column `c` meets every
+/// earlier column in cells `top_off + tri(c) − tri(regular) ..`.
+#[derive(Debug, Clone)]
+struct Layout {
+    blocks: Box<[Block]>,
+    /// Columns `0..multi` lie in blocks, `multi..regular` are
+    /// singletons, `regular..regular + tops` are ⊤, the rest are ⊥.
+    multi: usize,
+    regular: usize,
+    tops: usize,
+    /// The first ⊤-row cell (the blocks store the cells before it).
+    top_off: usize,
+    /// Cells stored in all.
+    cells: usize,
+}
+
+/// One block of a [`Layout`]: its columns and its first cell.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    start: u32,
+    len: u32,
+    off: usize,
+}
+
+impl Layout {
+    /// Lays out the columns for per-pointer block codes in value order:
+    /// `0..nblocks` name a block, `nblocks` a singleton, `nblocks + 1`
+    /// a ⊤ pointer and `nblocks + 2` a ⊥ pointer. Blocks must be
+    /// numbered by first appearance and hold two or more pointers, so
+    /// every partition has exactly one code sequence. Returns the
+    /// layout and each pointer's column.
+    fn new(codes: &[u32], nblocks: usize) -> Result<(Layout, Vec<u32>), &'static str> {
+        let solo = nblocks as u32;
+        let (top, bottom) = (solo + 1, solo + 2);
+        let mut sizes = vec![0u32; nblocks];
+        let (mut singles, mut tops, mut seen) = (0usize, 0usize, 0u32);
+        for &code in codes {
+            if code < solo {
+                if code > seen {
+                    return Err("matrix block ids are not numbered by first appearance");
+                }
+                seen += u32::from(code == seen);
+                sizes[code as usize] += 1;
+            } else if code == solo {
+                singles += 1;
+            } else if code == top {
+                tops += 1;
+            } else if code != bottom {
+                return Err("matrix block id out of range");
+            }
+        }
+        if sizes.iter().any(|&s| s < 2) {
+            return Err("matrix block holds fewer than two pointers");
+        }
+        let mut blocks = Vec::with_capacity(nblocks);
+        let (mut start, mut off) = (0usize, 0usize);
+        for &len in &sizes {
+            blocks.push(Block {
+                start: start as u32,
+                len,
+                off,
+            });
+            start += len as usize;
+            off += tri(len as usize);
+        }
+        let regular = start + singles;
+        let layout = Layout {
+            multi: start,
+            regular,
+            tops,
+            top_off: off,
+            cells: off + tri(regular + tops) - tri(regular),
+            blocks: blocks.into_boxed_slice(),
+        };
+        let mut next: Vec<u32> = layout.blocks.iter().map(|b| b.start).collect();
+        next.extend([start, regular, regular + tops].map(|c| c as u32));
+        let cols = codes
+            .iter()
+            .map(|&code| {
+                let slot = &mut next[code as usize];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        Ok((layout, cols))
+    }
 }
 
 /// Interned global state of one pointer.
@@ -446,330 +641,92 @@ struct ILr {
     range: RangeId,
 }
 
-impl AliasMatrix {
-    /// Builds the matrix over every pointer-typed value of `f`
-    /// (serial — see [`AliasMatrix::build_with`]).
-    pub fn build(rbaa: &RbaaAnalysis, m: &Module, f: FuncId) -> Self {
-        Self::build_for_with(rbaa, f, pointer_values(m, f), 1)
-    }
+/// The interned `(GR, LR)` state of one pointer. It fully determines
+/// both states (exact support handles, base, block, σ-set identity,
+/// offset handles), so for `p ≠ q` the verdict depends only on the two
+/// signatures.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Sig {
+    gr: IGr,
+    lr: Option<ILr>,
+}
 
-    /// Like [`AliasMatrix::build`], with the signature triangle tiled
-    /// across `threads` pool workers — byte-identical to the serial
-    /// build (each tile proves its comparisons in its own overlay
-    /// arena, and verdicts depend only on the interned states, never on
-    /// which overlay memoised them).
-    pub fn build_with(rbaa: &RbaaAnalysis, m: &Module, f: FuncId, threads: usize) -> Self {
-        Self::build_for_with(rbaa, f, pointer_values(m, f), threads)
-    }
+/// Dense signature classes: the one interning table behind both the
+/// matrix builder (a table per function) and the [`DemandCache`] (a
+/// table per analysis).
+#[derive(Default)]
+struct SigTable {
+    sigma_ids: FxHashMap<Vec<ValueId>, u32>,
+    /// Signature contents by dense id.
+    sigs: Vec<Sig>,
+    ids: FxHashMap<Sig, u32>,
+}
 
-    /// Like [`AliasMatrix::build_with`], but the tiles ride an existing
-    /// [`pool::WorkerPool`] instead of a one-shot pool — the form the
-    /// session/driver pipelines use so matrix tiling reuses the same
-    /// long-lived workers as every other phase.
-    pub fn build_with_on(
-        rbaa: &RbaaAnalysis,
-        m: &Module,
-        f: FuncId,
-        pool: &pool::WorkerPool,
-    ) -> Self {
-        Self::build_for_on(rbaa, f, pointer_values(m, f), pool)
-    }
-
-    /// Builds the matrix over an explicit pointer universe (must be
-    /// duplicate-free), serially.
-    ///
-    /// Hash-consing happens at two levels: the states' offset ranges
-    /// are already interned handles into the GR/LR module arenas (the
-    /// per-build overlays memoise each distinct comparison once), and
-    /// whole pointer *states* are deduplicated into signature classes —
-    /// a function with `P` pointers typically has far fewer distinct
-    /// `(GR, LR)` states, and for `p ≠ q` the verdict depends only on
-    /// the states, so the `O(P²)` pair sweep collapses to `O(S²)`
-    /// state-pair verdicts plus an `O(P²)` table fill.
-    pub fn build_for(rbaa: &RbaaAnalysis, f: FuncId, ptrs: Vec<ValueId>) -> Self {
-        Self::build_for_with(rbaa, f, ptrs, 1)
-    }
-
-    /// [`AliasMatrix::build_for`] with a worker budget for the
-    /// signature triangle (a one-shot pool of exactly `threads`
-    /// workers, matching the historical semantics).
-    pub fn build_for_with(
-        rbaa: &RbaaAnalysis,
-        f: FuncId,
-        ptrs: Vec<ValueId>,
-        threads: usize,
-    ) -> Self {
-        Self::build_for_on(rbaa, f, ptrs, &pool::WorkerPool::forced(threads))
-    }
-
-    /// Builds every function's matrix on `pool`, functions chunked
-    /// across the workers, with each chunk reusing **one** pair of
-    /// scratch overlay arenas (and one per-module location-kind table)
-    /// across all of its functions. Every state lives in the same
-    /// canonical module arenas, so disjointness proofs memoised while
-    /// building one function's matrix are hits for every later
-    /// function of the chunk — on module-scale builds most of the
-    /// comparison work disappears, where the per-function entry points
-    /// re-prove it from a cold overlay each time. Verdicts depend only
-    /// on the interned states, never on which overlay memoised them,
-    /// so the result is cell-for-cell identical to per-function builds
-    /// (pinned by `build_all_matches_per_function_builds` and the
-    /// equivalence rails).
-    pub fn build_all_on(rbaa: &RbaaAnalysis, m: &Module, pool: &pool::WorkerPool) -> Vec<Self> {
-        let nf = m.num_functions();
-        let kinds = Self::loc_kinds(rbaa);
-        let width = pool.threads();
-        let chunks = pool::chunk_bounds(nf, if width <= 1 { 1 } else { width * 4 });
-        let parts: Vec<Vec<AliasMatrix>> = pool.run_map(chunks, |(lo, hi)| {
-            let mut gr_arena = ExprArena::with_base(rbaa.gr().arena_arc());
-            let mut lr_arena = ExprArena::with_base(rbaa.lr().arena_arc());
-            let mut since_flush = 0usize;
-            (lo..hi)
-                .map(|i| {
-                    // Unbounded memo accumulation over a 10⁴-function
-                    // sweep grows the overlay tables past every cache
-                    // level and the lookups start paying DRAM misses;
-                    // a fixed per-chunk window keeps them hot while
-                    // still amortising proofs across nearby functions
-                    // (which share most of their states). The flush
-                    // points are deterministic, and memoisation can't
-                    // change verdicts either way.
-                    if since_flush == SCRATCH_WINDOW {
-                        gr_arena = ExprArena::with_base(rbaa.gr().arena_arc());
-                        lr_arena = ExprArena::with_base(rbaa.lr().arena_arc());
-                        since_flush = 0;
-                    }
-                    since_flush += 1;
-                    let f = FuncId::new(i);
-                    Self::build_for_scratch(
-                        rbaa,
-                        f,
-                        pointer_values(m, f),
-                        &kinds,
-                        &mut gr_arena,
-                        &mut lr_arena,
-                    )
-                })
-                .collect()
-        });
-        parts.into_iter().flatten().collect()
-    }
-
-    /// The per-module location-kind table the global test indexes —
-    /// derived from the `LocTable` once per build (or once per
-    /// [`AliasMatrix::build_all_on`] chunk, not once per function).
-    fn loc_kinds(rbaa: &RbaaAnalysis) -> Vec<LocKind> {
-        let locs = rbaa.gr().locs();
-        (0..locs.len())
-            .map(|i| locs.site(LocId::new(i)).kind)
-            .collect()
-    }
-
-    /// Collapses the pointers' interned states into dense signature
-    /// classes: the class id of each pointer, plus the class table in
-    /// id order (a function with `P` pointers typically has far fewer
-    /// distinct `(GR, LR)` states, and for `p ≠ q` the verdict depends
-    /// only on the states).
-    fn signatures(
-        rbaa: &RbaaAnalysis,
-        f: FuncId,
-        ptrs: &[ValueId],
-    ) -> (Vec<usize>, Vec<(IGr, Option<ILr>)>) {
-        let mut sigma_ids: FxHashMap<&[ValueId], u32> = FxHashMap::default();
-        let mut sig_ids: FxHashMap<(IGr, Option<ILr>), u32> = FxHashMap::default();
-        let mut sigs: Vec<usize> = Vec::with_capacity(ptrs.len());
-        for &p in ptrs {
-            let st = rbaa.gr().raw_state(f, p);
-            let igr = if st.is_bottom() {
-                IGr::Bottom
-            } else if st.is_top() {
-                IGr::Top
-            } else {
-                IGr::Support(st.support().collect())
-            };
-            let ilr = rbaa.lr().raw_state(f, p).map(|s| {
-                let next = sigma_ids.len() as u32;
-                let sigmas = *sigma_ids.entry(s.sigmas.as_slice()).or_insert(next);
-                ILr {
-                    base: s.base,
-                    block: s.block,
-                    sigmas,
-                    range: s.range,
-                }
-            });
-            let next = sig_ids.len() as u32;
-            sigs.push(*sig_ids.entry((igr, ilr)).or_insert(next) as usize);
-        }
-        let mut by_id: Vec<Option<(IGr, Option<ILr>)>> = vec![None; sig_ids.len()];
-        for (k, id) in sig_ids {
-            by_id[id as usize] = Some(k);
-        }
-        let by_id = by_id
-            .into_iter()
-            .map(|k| k.expect("dense signature ids"))
-            .collect();
-        (sigs, by_id)
-    }
-
-    /// Serial build against caller-owned scratch overlays — the
-    /// [`AliasMatrix::build_all_on`] worker body. `gr_arena`/`lr_arena`
-    /// must be overlays over this analysis' GR/LR module arenas.
-    fn build_for_scratch(
-        rbaa: &RbaaAnalysis,
-        f: FuncId,
-        ptrs: Vec<ValueId>,
-        kinds: &[LocKind],
-        gr_arena: &mut ExprArena,
-        lr_arena: &mut ExprArena,
-    ) -> Self {
-        let (sigs, by_id) = Self::signatures(rbaa, f, &ptrs);
-        let s = by_id.len();
-        let mut sig_cells = Vec::with_capacity(s * (s + 1) / 2);
-        for a in 0..s {
-            for b in a..s {
-                let (ga, la) = &by_id[a];
-                let (gb, lb) = &by_id[b];
-                sig_cells.push(Self::verdict(gr_arena, lr_arena, kinds, ga, gb, la, lb));
-            }
-        }
-        Self::pack(ptrs, &sigs, &sig_cells, s)
-    }
-
-    /// [`AliasMatrix::build_for`] with the signature triangle tiled
-    /// onto `pool`.
-    pub fn build_for_on(
-        rbaa: &RbaaAnalysis,
-        f: FuncId,
-        ptrs: Vec<ValueId>,
-        pool: &pool::WorkerPool,
-    ) -> Self {
-        let kinds = Self::loc_kinds(rbaa);
-
-        // Collapse equal states to one signature class (the states'
-        // ranges are already interned ids — signatures are id tuples).
-        let (sigs, by_id) = Self::signatures(rbaa, f, &ptrs);
-
-        // One verdict per unordered signature pair (including the
-        // "same signature, different pointer" diagonal).
-        // Row `a` of the upper triangle (b ≥ a) starts after the
-        // `a*s - a*(a-1)/2` entries of the rows above it.
-        let s = by_id.len();
-        let row_start = |a: usize| a * s - a * a.saturating_sub(1) / 2;
-        // Tile the flat triangle index space onto the pool: tiles are a
-        // deterministic split, each worker proves its tile against its
-        // own overlay arena, and concatenation restores serial order —
-        // so the parallel build is byte-identical to `threads == 1`.
-        let total = s * (s + 1) / 2;
-        let width = pool.threads();
-        let tiles = pool::chunk_bounds(total, if width <= 1 { 1 } else { width * 4 });
-        let parts: Vec<Vec<u8>> = pool.run_map(tiles, |(lo, hi)| {
-            let mut gr_arena = ExprArena::with_base(rbaa.gr().arena_arc());
-            let mut lr_arena = ExprArena::with_base(rbaa.lr().arena_arc());
-            // Recover the (row, column) of the tile's first flat index:
-            // the largest row whose start is ≤ lo.
-            let mut a = {
-                let (mut l, mut h) = (0usize, s);
-                while l + 1 < h {
-                    let mid = (l + h) / 2;
-                    if row_start(mid) <= lo {
-                        l = mid;
-                    } else {
-                        h = mid;
-                    }
-                }
-                l
-            };
-            let mut b = a + (lo - row_start(a));
-            let mut out = Vec::with_capacity(hi - lo);
-            for _ in lo..hi {
-                let (ga, la) = &by_id[a];
-                let (gb, lb) = &by_id[b];
-                out.push(Self::verdict(
-                    &mut gr_arena,
-                    &mut lr_arena,
-                    &kinds,
-                    ga,
-                    gb,
-                    la,
-                    lb,
-                ));
-                b += 1;
-                if b == s {
-                    a += 1;
-                    b = a;
-                }
-            }
-            out
-        });
-        let mut sig_cells = Vec::with_capacity(total);
-        for part in parts {
-            sig_cells.extend(part);
-        }
-        Self::pack(ptrs, &sigs, &sig_cells, s)
-    }
-
-    /// Fills the pointer-pair triangle (2-bit cells, four pairs per
-    /// byte) and the per-function statistics from the signature-pair
-    /// verdict table, then assembles the matrix.
-    fn pack(ptrs: Vec<ValueId>, sigs: &[usize], sig_cells: &[u8], s: usize) -> Self {
-        let row_start = |a: usize| a * s - a * a.saturating_sub(1) / 2;
-        let sig_cell = |a: usize, b: usize| {
-            let (a, b) = if a <= b { (a, b) } else { (b, a) };
-            sig_cells[row_start(a) + b - a]
+impl SigTable {
+    /// The signature id of `(f, p)`'s states, interning them on first
+    /// sight.
+    fn intern(&mut self, rbaa: &RbaaAnalysis, f: FuncId, p: ValueId) -> u32 {
+        let st = rbaa.gr().raw_state(f, p);
+        let gr = if st.is_bottom() {
+            IGr::Bottom
+        } else if st.is_top() {
+            IGr::Top
+        } else {
+            IGr::Support(st.support().collect())
         };
-        let n = ptrs.len();
-        let npairs = n * n.saturating_sub(1) / 2;
-        let mut cells = vec![0u8; npairs.div_ceil(4)];
-        let mut stats = QueryStats::default();
-        let mut idx = 0;
-        for i in 0..n {
-            for j in i + 1..n {
-                let cell = sig_cell(sigs[i], sigs[j]);
-                cells[idx >> 2] |= cell << ((idx & 3) * 2);
-                idx += 1;
-                stats.queries += 1;
-                match cell {
-                    CELL_DISTINCT => {
-                        stats.no_alias += 1;
-                        stats.by_distinct_locs += 1;
-                    }
-                    CELL_GLOBAL => {
-                        stats.no_alias += 1;
-                        stats.by_global += 1;
-                    }
-                    CELL_LOCAL => {
-                        stats.no_alias += 1;
-                        stats.by_local += 1;
-                    }
-                    _ => {}
-                }
+        let lr = rbaa.lr().raw_state(f, p).map(|s| ILr {
+            base: s.base,
+            block: s.block,
+            sigmas: self.sigma_id(&s.sigmas),
+            range: s.range,
+        });
+        match self.ids.entry(Sig { gr, lr }) {
+            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let id = self.sigs.len() as u32;
+                self.sigs.push(e.key().clone());
+                e.insert(id);
+                id
             }
-        }
-
-        let pos = ptrs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        AliasMatrix {
-            ptrs,
-            pos,
-            cells,
-            stats,
         }
     }
 
-    /// One pair, on interned handles — mirrors
-    /// [`RbaaAnalysis::alias_with_test`] decision for decision.
-    /// `gr_arena`/`lr_arena` are the build's overlays over the
-    /// respective module arenas.
-    fn verdict(
-        gr_arena: &mut ExprArena,
-        lr_arena: &mut ExprArena,
-        kinds: &[LocKind],
-        gp: &IGr,
-        gq: &IGr,
-        lp: &Option<ILr>,
-        lq: &Option<ILr>,
-    ) -> u8 {
+    fn sigma_id(&mut self, set: &[ValueId]) -> u32 {
+        if let Some(&id) = self.sigma_ids.get(set) {
+            return id;
+        }
+        let id = self.sigma_ids.len() as u32;
+        self.sigma_ids.insert(set.to_vec(), id);
+        id
+    }
+
+    fn get(&self, id: u32) -> &Sig {
+        &self.sigs[id as usize]
+    }
+}
+
+/// The one verdict kernel, with its scratch: overlay arenas over the
+/// analysis' GR/LR module arenas, where each distinct range comparison
+/// is proved once. Verdicts depend only on the signatures, never on
+/// which overlay memoised a comparison.
+struct Prover {
+    gr: ExprArena,
+    lr: ExprArena,
+}
+
+impl Prover {
+    fn new(rbaa: &RbaaAnalysis) -> Self {
+        Prover {
+            gr: ExprArena::with_base(rbaa.gr().arena_arc()),
+            lr: ExprArena::with_base(rbaa.lr().arena_arc()),
+        }
+    }
+
+    /// One signature pair — mirrors [`RbaaAnalysis::alias_with_test`]
+    /// decision for decision. `kinds` is [`loc_kinds`] of the analysis.
+    fn verdict(&mut self, kinds: &[LocKind], p: &Sig, q: &Sig) -> u8 {
         // The global test (`global_no_alias_kind` on handles).
-        let global = match (gp, gq) {
+        let global = match (&p.gr, &q.gr) {
             (IGr::Bottom, _) | (_, IGr::Bottom) => Some(CELL_DISTINCT),
             (IGr::Top, _) | (_, IGr::Top) => None,
             (IGr::Support(sa), IGr::Support(sb)) => {
@@ -778,7 +735,7 @@ impl AliasMatrix {
                 'pairs: for &(la, ra) in sa {
                     for &(lb, rb) in sb {
                         if la == lb {
-                            if !gr_arena.ranges_disjoint(ra, rb) {
+                            if !self.gr.ranges_disjoint(ra, rb) {
                                 separated = false;
                                 break 'pairs;
                             }
@@ -804,17 +761,407 @@ impl AliasMatrix {
             return cell;
         }
         // The local test (`QLR` preconditions, then range disjointness).
-        if let (Some(a), Some(b)) = (lp, lq) {
+        if let (Some(a), Some(b)) = (&p.lr, &q.lr) {
             if a.base == b.base
                 && a.block.is_some()
                 && a.block == b.block
                 && a.sigmas == b.sigmas
-                && lr_arena.ranges_disjoint(a.range, b.range)
+                && self.lr.ranges_disjoint(a.range, b.range)
             {
                 return CELL_LOCAL;
             }
         }
         CELL_MAY
+    }
+}
+
+/// The per-module location-kind table the verdict kernel and the
+/// support partition index — derived from the `LocTable` once per
+/// build or demand cache.
+fn loc_kinds(rbaa: &RbaaAnalysis) -> Vec<LocKind> {
+    let locs = rbaa.gr().locs();
+    (0..locs.len())
+        .map(|i| locs.site(LocId::new(i)).kind)
+        .collect()
+}
+
+/// Union-find root of `x`, halving paths on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
+    }
+    x
+}
+
+/// Splits `items` into at most `pieces` contiguous runs.
+fn batches<T>(items: Vec<T>, pieces: usize) -> Vec<Vec<T>> {
+    let bounds = pool::chunk_bounds(items.len(), pieces);
+    let mut items = items.into_iter();
+    bounds
+        .into_iter()
+        .map(|(lo, hi)| items.by_ref().take(hi - lo).collect())
+        .collect()
+}
+
+/// One function's matrix before its cells are proved: the support
+/// partition, plus the signatures the stored cells are proved on.
+struct Plan {
+    ptrs: Vec<ValueId>,
+    layout: Layout,
+    cols: Vec<u32>,
+    sigs: Vec<Sig>,
+    /// The signature of each column.
+    col_sig: Vec<u32>,
+    /// The block-local signature index of each in-block column — the
+    /// key into its block's signature-pair memo.
+    col_local: Vec<u32>,
+    /// Distinct signatures per block.
+    block_sigs: Vec<u32>,
+}
+
+impl Plan {
+    /// Interns the signatures of `ptrs` (duplicate-free) and partitions
+    /// them by support.
+    fn new(rbaa: &RbaaAnalysis, kinds: &[LocKind], f: FuncId, ptrs: Vec<ValueId>) -> Self {
+        let mut table = SigTable::default();
+        let ptr_sig: Vec<u32> = ptrs.iter().map(|&p| table.intern(rbaa, f, p)).collect();
+        let sigs = table.sigs;
+
+        // Union-find the support locations; node 0 is the one class of
+        // every `Unknown` and `Global` site.
+        let mut node_of: FxHashMap<LocId, u32> = FxHashMap::default();
+        let mut parent: Vec<u32> = vec![0];
+        let mut sig_node: Vec<u32> = Vec::with_capacity(sigs.len());
+        for sig in &sigs {
+            let IGr::Support(support) = &sig.gr else {
+                sig_node.push(u32::MAX);
+                continue;
+            };
+            let mut root = None;
+            for &(loc, _) in support {
+                let node = match kinds[loc.index()] {
+                    LocKind::Unknown | LocKind::Global => 0,
+                    _ => *node_of.entry(loc).or_insert_with(|| {
+                        parent.push(parent.len() as u32);
+                        parent.len() as u32 - 1
+                    }),
+                };
+                let r = find(&mut parent, node);
+                match root {
+                    None => root = Some(r),
+                    Some(a) if a != r => {
+                        let (lo, hi) = (a.min(r), a.max(r));
+                        parent[hi as usize] = lo;
+                        root = Some(lo);
+                    }
+                    Some(_) => {}
+                }
+            }
+            sig_node.push(root.expect("a non-⊥ support names a location"));
+        }
+
+        // Each pointer's class, and the class sizes.
+        let mut size = vec![0u32; parent.len()];
+        let class: Vec<u32> = ptr_sig
+            .iter()
+            .map(|&s| {
+                let node = sig_node[s as usize];
+                if node == u32::MAX {
+                    return u32::MAX;
+                }
+                let root = find(&mut parent, node);
+                size[root as usize] += 1;
+                root
+            })
+            .collect();
+
+        // Canonical codes: classes of two or more pointers are blocks,
+        // numbered by first appearance.
+        let mut block_of = vec![u32::MAX; parent.len()];
+        let mut nblocks = 0u32;
+        for &c in &class {
+            if c != u32::MAX && size[c as usize] >= 2 && block_of[c as usize] == u32::MAX {
+                block_of[c as usize] = nblocks;
+                nblocks += 1;
+            }
+        }
+        let codes: Vec<u32> = class
+            .iter()
+            .zip(&ptr_sig)
+            .map(|(&c, &s)| match sigs[s as usize].gr {
+                IGr::Bottom => nblocks + 2,
+                IGr::Top => nblocks + 1,
+                IGr::Support(_) if block_of[c as usize] == u32::MAX => nblocks,
+                IGr::Support(_) => block_of[c as usize],
+            })
+            .collect();
+        let (layout, cols) =
+            Layout::new(&codes, nblocks as usize).expect("builder codes are canonical");
+
+        let mut col_sig = vec![0u32; ptrs.len()];
+        for (&c, &s) in cols.iter().zip(&ptr_sig) {
+            col_sig[c as usize] = s;
+        }
+        let mut local = vec![u32::MAX; sigs.len()];
+        let mut col_local = Vec::with_capacity(layout.multi);
+        let mut block_sigs = Vec::with_capacity(layout.blocks.len());
+        for b in &layout.blocks {
+            let run = &col_sig[b.start as usize..(b.start + b.len) as usize];
+            let mut distinct = 0u32;
+            for &s in run {
+                if local[s as usize] == u32::MAX {
+                    local[s as usize] = distinct;
+                    distinct += 1;
+                }
+                col_local.push(local[s as usize]);
+            }
+            for &s in run {
+                local[s as usize] = u32::MAX;
+            }
+            block_sigs.push(distinct);
+        }
+        Plan {
+            ptrs,
+            layout,
+            cols,
+            sigs,
+            col_sig,
+            col_local,
+            block_sigs,
+        }
+    }
+
+    fn sig(&self, col: usize) -> &Sig {
+        &self.sigs[self.col_sig[col] as usize]
+    }
+
+    /// Proves cells `lo..hi` of this plan (`lo` a multiple of four)
+    /// into `out`, whose first byte holds cell `lo`.
+    fn prove(
+        &self,
+        kinds: &[LocKind],
+        prover: &mut Prover,
+        memo: &mut Vec<u8>,
+        (lo, hi): (usize, usize),
+        out: &mut [u8],
+    ) {
+        let l = &self.layout;
+        let mut put = |i: usize, cell: u8| out[(i - lo) >> 2] |= cell << ((i & 3) * 2);
+        let first = l
+            .blocks
+            .partition_point(|b| b.off + tri(b.len as usize) <= lo);
+        for (b, &distinct) in l.blocks[first..].iter().zip(&self.block_sigs[first..]) {
+            if b.off >= hi {
+                break;
+            }
+            // Equal signatures prove equal verdicts: one proof per
+            // unordered block-local signature pair (diagonal included).
+            memo.clear();
+            memo.resize(tri(distinct as usize + 1), UNPROVED);
+            let start = b.start as usize;
+            let from = lo.max(b.off);
+            let mut h = tri_row(from - b.off);
+            let mut c = from - b.off - tri(h);
+            for i in from..hi.min(b.off + tri(b.len as usize)) {
+                let (x, y) = (self.col_local[start + h], self.col_local[start + c]);
+                let key = tri(x.max(y) as usize + 1) + x.min(y) as usize;
+                if memo[key] == UNPROVED {
+                    memo[key] = prover.verdict(kinds, self.sig(start + h), self.sig(start + c));
+                }
+                put(i, memo[key]);
+                c += 1;
+                if c == h {
+                    h += 1;
+                    c = 0;
+                }
+            }
+        }
+        // The ⊤ rows: rows `regular..` of the lower triangle over all
+        // non-⊥ columns.
+        let from = lo.max(l.top_off);
+        if from < hi.min(l.cells) {
+            let t = tri(l.regular) + from - l.top_off;
+            let mut h = tri_row(t);
+            let mut c = t - tri(h);
+            for i in from..hi.min(l.cells) {
+                put(i, prover.verdict(kinds, self.sig(h), self.sig(c)));
+                c += 1;
+                if c == h {
+                    h += 1;
+                    c = 0;
+                }
+            }
+        }
+    }
+}
+
+impl AliasMatrix {
+    /// Builds the matrix of `f` over an explicit, duplicate-free pointer
+    /// universe, its stored cells tiled onto `pool`.
+    pub fn build_for_on(
+        rbaa: &RbaaAnalysis,
+        f: FuncId,
+        ptrs: Vec<ValueId>,
+        pool: &pool::WorkerPool,
+    ) -> Self {
+        let kinds = loc_kinds(rbaa);
+        let plan = Plan::new(rbaa, &kinds, f, ptrs);
+        let mut built = Self::build_plans(rbaa, &kinds, vec![plan], pool);
+        built.pop().expect("one plan, one matrix")
+    }
+
+    /// Builds every function's matrix over its [`pointer_values`] on
+    /// `pool` — the module sweep of the one builder behind every entry
+    /// point.
+    ///
+    /// Partitioning is linear and runs function-chunked. The stored
+    /// cells of all the functions are then concatenated and tiled onto
+    /// the pool by cell count, so a large block is split across workers
+    /// instead of riding one; each tile proves its cells through one
+    /// overlay pair reused across the functions it visits. Verdicts
+    /// depend only on the interned states, never on which overlay
+    /// memoised them, so the result is identical at every pool width
+    /// and to per-function builds.
+    pub fn build_all_on(rbaa: &RbaaAnalysis, m: &Module, pool: &pool::WorkerPool) -> Vec<Self> {
+        let fids: Vec<FuncId> = m.func_ids().collect();
+        Self::build_funcs(rbaa, m, &fids, pool)
+    }
+
+    /// Builds the matrices of `fids` (in that order) over their
+    /// [`pointer_values`], as [`AliasMatrix::build_all_on`] does for
+    /// every function.
+    pub(crate) fn build_funcs(
+        rbaa: &RbaaAnalysis,
+        m: &Module,
+        fids: &[FuncId],
+        pool: &pool::WorkerPool,
+    ) -> Vec<Self> {
+        let kinds = loc_kinds(rbaa);
+        let chunks = pool::chunk_bounds(fids.len(), pool.threads() * TILES_PER_WORKER);
+        let plans = pool.run_map(chunks, |(lo, hi)| {
+            fids[lo..hi]
+                .iter()
+                .map(|&f| Plan::new(rbaa, &kinds, f, pointer_values(m, f)))
+                .collect::<Vec<_>>()
+        });
+        Self::build_plans(rbaa, &kinds, plans.into_iter().flatten().collect(), pool)
+    }
+
+    /// Proves the stored cells of `plans` and assembles their matrices.
+    fn build_plans(
+        rbaa: &RbaaAnalysis,
+        kinds: &[LocKind],
+        plans: Vec<Plan>,
+        pool: &pool::WorkerPool,
+    ) -> Vec<Self> {
+        // Each plan's cells start on a byte of one module-wide store, so
+        // tiles of whole bytes never share a byte.
+        let mut starts = Vec::with_capacity(plans.len() + 1);
+        let mut total = 0;
+        for p in &plans {
+            starts.push(total);
+            total += p.layout.cells.div_ceil(4);
+        }
+        starts.push(total);
+        let width = pool.threads();
+        let tiles = pool::chunk_bounds(
+            total,
+            if width <= 1 {
+                1
+            } else {
+                width * TILES_PER_WORKER
+            },
+        );
+        let parts: Vec<Vec<u8>> = pool.run_map(tiles, |(lo, hi)| {
+            let mut out = vec![0u8; hi - lo];
+            let mut prover = Prover::new(rbaa);
+            let mut memo = Vec::new();
+            let mut visited = 0;
+            let mut k = starts[1..].partition_point(|&end| end <= lo);
+            while k < plans.len() && starts[k] < hi {
+                let (b0, b1) = (starts[k].max(lo), starts[k + 1].min(hi));
+                if b0 < b1 {
+                    // Unbounded memo accumulation over a 10⁴-function
+                    // sweep grows the overlay tables past every cache
+                    // level; restart them at deterministic points.
+                    if visited == SCRATCH_WINDOW {
+                        prover = Prover::new(rbaa);
+                        visited = 0;
+                    }
+                    visited += 1;
+                    let plan = &plans[k];
+                    let base = 4 * starts[k];
+                    let cells = (4 * b0 - base, (4 * b1 - base).min(plan.layout.cells));
+                    plan.prove(
+                        kinds,
+                        &mut prover,
+                        &mut memo,
+                        cells,
+                        &mut out[b0 - lo..b1 - lo],
+                    );
+                }
+                k += 1;
+            }
+            out
+        });
+        let store: Vec<u8> = parts.concat();
+        let jobs: Vec<(Plan, Vec<u8>)> = plans
+            .into_iter()
+            .enumerate()
+            .map(|(k, plan)| (plan, store[starts[k]..starts[k + 1]].to_vec()))
+            .collect();
+        drop(store);
+        pool.run_map(batches(jobs, width * TILES_PER_WORKER), |batch| {
+            batch
+                .into_iter()
+                .map(|(plan, cells)| Self::assemble(plan.ptrs, plan.layout, &plan.cols, cells))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// Indexes a laid-out matrix and derives its statistics: every pair
+    /// not stored is `DistinctLocs`.
+    fn assemble(ptrs: Vec<ValueId>, layout: Layout, cols: &[u32], cells: Vec<u8>) -> Self {
+        let mut pos = vec![NO_COLUMN; ptrs.iter().map(|p| p.index() + 1).max().unwrap_or(0)];
+        for (p, &c) in ptrs.iter().zip(cols) {
+            pos[p.index()] = c;
+        }
+        let id_width = bit_width(layout.blocks.len().saturating_sub(1));
+        let ids = pack_bits(
+            layout
+                .blocks
+                .iter()
+                .enumerate()
+                .flat_map(|(k, b)| std::iter::repeat_n(k as u32, b.len as usize)),
+            layout.multi,
+            id_width,
+        );
+        let mut by = [0usize; 4];
+        for i in 0..layout.cells {
+            by[get_packed(&cells, i) as usize] += 1;
+        }
+        let queries = tri(ptrs.len());
+        let stats = QueryStats {
+            queries,
+            no_alias: queries - by[CELL_MAY as usize],
+            by_distinct_locs: queries - layout.cells + by[CELL_DISTINCT as usize],
+            by_global: by[CELL_GLOBAL as usize],
+            by_local: by[CELL_LOCAL as usize],
+        };
+        AliasMatrix {
+            pos: pos.into_boxed_slice(),
+            cells: cells.into_boxed_slice(),
+            ids: ids.into_boxed_slice(),
+            id_width,
+            layout,
+            ptrs,
+            stats,
+        }
     }
 
     /// The pointer universe of the matrix, in value order.
@@ -832,25 +1179,69 @@ impl AliasMatrix {
     /// value is outside the matrix's universe. `p == q` answers
     /// `MayAlias` like [`RbaaAnalysis::alias_with_test`].
     pub fn lookup(&self, p: ValueId, q: ValueId) -> Option<(AliasResult, Option<WhichTest>)> {
-        let &i = self.pos.get(&p)?;
-        let &j = self.pos.get(&q)?;
-        if i == j {
+        let a = self.column(p)?;
+        let b = self.column(q)?;
+        if a == b {
             return Some((AliasResult::MayAlias, None));
         }
-        let (i, j) = if i < j { (i, j) } else { (j, i) };
-        let n = self.ptrs.len();
-        let idx = i * (2 * n - i - 1) / 2 + (j - i - 1);
-        Some(decode_cell(get_packed(&self.cells, idx)))
+        let (hi, lo) = (a.max(b) as usize, a.min(b) as usize);
+        Some(decode_cell(self.cell(hi, lo)))
     }
 
-    /// Byte accounting of this matrix's packed cell store.
+    /// The column of `p`, if it is in the pointer universe.
+    #[inline]
+    fn column(&self, p: ValueId) -> Option<u32> {
+        self.pos.get(p.index()).copied().filter(|&c| c != NO_COLUMN)
+    }
+
+    /// The cell of columns `lo < hi`.
+    #[inline]
+    fn cell(&self, hi: usize, lo: usize) -> u8 {
+        let l = &self.layout;
+        if hi < l.multi {
+            // Block 0 starts at column 0 and cell 0: most functions
+            // have one block, and then neither table is read.
+            let (start, off) = match get_bits(&self.ids, hi, self.id_width) {
+                0 => (0, 0),
+                b => {
+                    let b = l.blocks[b as usize];
+                    (b.start as usize, b.off)
+                }
+            };
+            if lo < start {
+                return CELL_DISTINCT;
+            }
+            get_packed(&self.cells, off + tri(hi - start) + lo - start)
+        } else if hi >= l.regular && hi < l.regular + l.tops {
+            get_packed(&self.cells, l.top_off + tri(hi) - tri(l.regular) + lo)
+        } else {
+            // A singleton's or a ⊥ pointer's pairs are never stored.
+            CELL_DISTINCT
+        }
+    }
+
+    /// Byte accounting of this matrix's storage (see [`MatrixBytes`]).
     pub fn bytes(&self) -> MatrixBytes {
-        let n = self.ptrs.len();
-        let pairs = n * n.saturating_sub(1) / 2;
+        let pairs = tri(self.ptrs.len());
         MatrixBytes {
             pairs,
-            packed_bytes: self.cells.len(),
+            packed_bytes: self.cells.len() + self.ids.len(),
             unpacked_bytes: pairs,
+        }
+    }
+
+    /// The block code of column `col` (see [`Layout::new`]).
+    fn code(&self, col: usize) -> u32 {
+        let l = &self.layout;
+        let nblocks = l.blocks.len() as u32;
+        if col < l.multi {
+            get_bits(&self.ids, col, self.id_width)
+        } else if col < l.regular {
+            nblocks
+        } else if col < l.regular + l.tops {
+            nblocks + 1
+        } else {
+            nblocks + 2
         }
     }
 }
@@ -871,33 +1262,30 @@ pub struct DemandStats {
 
 /// Demand-driven alias queries: answers single `(f, p, q)` pairs
 /// against the interned GR/LR states with per-signature-pair
-/// memoisation — **no all-pairs matrix build**.
+/// memoisation — **no all-pairs matrix build**, and no per-function
+/// support partition either.
 ///
-/// Where [`AliasMatrix::build_for`] pays `O(S²)` signature verdicts
-/// plus an `O(P²)` fill up front, a `DemandCache` interns each
+/// Where [`AliasMatrix::build_for_on`] partitions a whole function and
+/// proves every stored cell up front, a `DemandCache` interns each
 /// pointer's state signature the first time a query mentions it and
 /// proves each unordered signature pair the first time a query needs
-/// it; everything after that is two hash lookups. Verdicts are
-/// byte-identical to [`RbaaAnalysis::alias_with_test`] (the
+/// it, with the same signature table and verdict kernel the matrix
+/// builder uses; everything after that is two hash lookups. Verdicts
+/// are byte-identical to [`RbaaAnalysis::alias_with_test`] (the
 /// `demand_equivalence` rail pins this): the memo key fully determines
 /// the inputs of the decision, so caching cannot change an answer.
 ///
 /// The cache is valid only for the analysis it was created from; it
 /// borrows nothing, so sessions drop and recreate it on rebuild.
 pub struct DemandCache {
-    /// Overlay arenas over the GR/LR module arenas — same memoised
-    /// comparison machinery the matrix build uses.
-    gr_arena: ExprArena,
-    lr_arena: ExprArena,
+    prover: Prover,
     /// The GR module arena this cache was built over, to catch queries
     /// against a different analysis in debug builds.
     gr_base: Arc<ExprArena>,
     kinds: Vec<LocKind>,
-    sigma_ids: FxHashMap<Vec<ValueId>, u32>,
-    /// Signature contents by dense id (`sigs[id]` is the interning key
-    /// of signature class `id`).
-    sigs: Vec<(IGr, Option<ILr>)>,
-    sig_ids: FxHashMap<(IGr, Option<ILr>), u32>,
+    /// Signatures are shared across functions: equal signatures always
+    /// produce equal verdicts.
+    sigs: SigTable,
     /// Per-pointer signature memo.
     ptr_sig: FxHashMap<(FuncId, ValueId), u32>,
     /// Per-unordered-signature-pair verdict memo.
@@ -908,7 +1296,7 @@ pub struct DemandCache {
 impl std::fmt::Debug for DemandCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DemandCache")
-            .field("signatures", &self.sigs.len())
+            .field("signatures", &self.sigs.sigs.len())
             .field("pairs", &self.pair_memo.len())
             .field("stats", &self.stats)
             .finish()
@@ -919,17 +1307,11 @@ impl DemandCache {
     /// Starts an empty cache over `rbaa` (see
     /// [`RbaaAnalysis::demand_cache`]).
     pub fn new(rbaa: &RbaaAnalysis) -> Self {
-        let locs = rbaa.gr().locs();
         DemandCache {
-            gr_arena: ExprArena::with_base(rbaa.gr().arena_arc()),
-            lr_arena: ExprArena::with_base(rbaa.lr().arena_arc()),
+            prover: Prover::new(rbaa),
             gr_base: rbaa.gr().arena_arc(),
-            kinds: (0..locs.len())
-                .map(|i| locs.site(LocId::new(i)).kind)
-                .collect(),
-            sigma_ids: FxHashMap::default(),
-            sigs: Vec::new(),
-            sig_ids: FxHashMap::default(),
+            kinds: loc_kinds(rbaa),
+            sigs: SigTable::default(),
             ptr_sig: FxHashMap::default(),
             pair_memo: FxHashMap::default(),
             stats: DemandStats::default(),
@@ -963,8 +1345,7 @@ impl DemandCache {
         // Split the borrows: the memo entry computation reads `sigs`
         // while mutating the overlay arenas.
         let DemandCache {
-            gr_arena,
-            lr_arena,
+            prover,
             kinds,
             sigs,
             pair_memo,
@@ -973,9 +1354,7 @@ impl DemandCache {
         } = self;
         let cell = *pair_memo.entry(key).or_insert_with(|| {
             stats.pair_misses += 1;
-            let (ga, la) = &sigs[key.0 as usize];
-            let (gb, lb) = &sigs[key.1 as usize];
-            AliasMatrix::verdict(gr_arena, lr_arena, kinds, ga, gb, la, lb)
+            prover.verdict(kinds, sigs.get(key.0), sigs.get(key.1))
         });
         decode_cell(cell)
     }
@@ -985,44 +1364,13 @@ impl DemandCache {
         self.stats
     }
 
-    /// Interns the `(GR, LR)` state of `(f, p)` into a signature class,
-    /// memoised per pointer. A signature fully determines both states
-    /// (exact support handles, base, block, σ-set identity, offset
-    /// handles), so equal signatures — even across functions — always
-    /// produce equal verdicts.
+    /// The signature class of `(f, p)`, memoised per pointer.
     fn sig_of(&mut self, rbaa: &RbaaAnalysis, f: FuncId, p: ValueId) -> u32 {
         if let Some(&id) = self.ptr_sig.get(&(f, p)) {
             return id;
         }
         self.stats.sig_misses += 1;
-        let st = rbaa.gr().raw_state(f, p);
-        let igr = if st.is_bottom() {
-            IGr::Bottom
-        } else if st.is_top() {
-            IGr::Top
-        } else {
-            IGr::Support(st.support().collect())
-        };
-        let ilr = rbaa.lr().raw_state(f, p).map(|s| {
-            let next = self.sigma_ids.len() as u32;
-            let sigmas = *self.sigma_ids.entry(s.sigmas.clone()).or_insert(next);
-            ILr {
-                base: s.base,
-                block: s.block,
-                sigmas,
-                range: s.range,
-            }
-        });
-        let key = (igr, ilr);
-        let id = match self.sig_ids.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = self.sigs.len() as u32;
-                self.sigs.push(key.clone());
-                self.sig_ids.insert(key, id);
-                id
-            }
-        };
+        let id = self.sigs.intern(rbaa, f, p);
         self.ptr_sig.insert((f, p), id);
         id
     }
@@ -1037,69 +1385,57 @@ impl DemandCache {
 use crate::persist::{corrupt, Dec, Enc, PersistError};
 
 impl AliasMatrix {
+    /// Writes the number of blocks, every pointer's block code (value
+    /// order, bit-packed) and the cell store. The pointer universe and
+    /// the statistics are not written: the loader knows the one and
+    /// recomputes the other.
     pub(crate) fn encode(&self, enc: &mut Enc) {
-        enc.usize(self.ptrs.len());
-        for &p in &self.ptrs {
-            enc.u32(p.index() as u32);
-        }
+        let nblocks = self.layout.blocks.len();
+        let width = bit_width(nblocks + 2);
+        let codes = self
+            .ptrs
+            .iter()
+            .map(|&p| self.code(self.pos[p.index()] as usize));
+        enc.usize(nblocks);
+        enc.bytes(&pack_bits(codes, self.ptrs.len(), width));
         enc.bytes(&self.cells);
-        enc.usize(self.stats.queries);
-        enc.usize(self.stats.no_alias);
-        enc.usize(self.stats.by_distinct_locs);
-        enc.usize(self.stats.by_global);
-        enc.usize(self.stats.by_local);
     }
 
-    /// Decodes a matrix whose pointer universe must equal
-    /// `expected_ptrs` (the loader passes `pointer_values(m, f)`, which
-    /// is what sessions build matrices over).
-    pub(crate) fn decode(
-        dec: &mut Dec<'_>,
-        expected_ptrs: &[ValueId],
-    ) -> Result<Self, PersistError> {
-        let n = dec.len(4)?;
-        if n != expected_ptrs.len() {
-            return Err(corrupt("matrix pointer universe does not match the module"));
+    /// Decodes a matrix over the pointer universe `ptrs` (the loader
+    /// passes `pointer_values(m, f)`, which is what sessions build
+    /// matrices over), validating the block codes, the cell-store
+    /// length against the block sizes, and every padding bit.
+    pub(crate) fn decode(dec: &mut Dec<'_>, ptrs: &[ValueId]) -> Result<Self, PersistError> {
+        let n = ptrs.len();
+        let nblocks = dec.usize()?;
+        if nblocks > n / 2 {
+            return Err(corrupt("matrix has more blocks than its pointers can fill"));
         }
-        let mut ptrs = Vec::with_capacity(n);
-        for &want in expected_ptrs {
-            let got = ValueId::new(dec.u32()? as usize);
-            if got != want {
-                return Err(corrupt("matrix pointer universe does not match the module"));
-            }
-            ptrs.push(got);
+        let width = bit_width(nblocks + 2);
+        let packed = dec.bytes()?;
+        let bits = n * width as usize;
+        if packed.len() != bits.div_ceil(8) {
+            return Err(corrupt("matrix block-id table has the wrong length"));
         }
-        let cells = dec.bytes()?.to_vec();
-        let npairs = n * n.saturating_sub(1) / 2;
-        if cells.len() != npairs.div_ceil(4) {
-            return Err(corrupt("matrix cell store has the wrong length"));
+        if !padding_clear(packed, bits) {
+            return Err(corrupt("matrix block-id table has nonzero padding bits"));
         }
-        if npairs % 4 != 0 {
-            if let Some(&last) = cells.last() {
-                if last >> ((npairs % 4) * 2) != 0 {
-                    return Err(corrupt("matrix cell store has nonzero padding bits"));
-                }
-            }
+        let codes: Vec<u32> = (0..n).map(|i| get_bits(packed, i, width)).collect();
+        let (layout, cols) = Layout::new(&codes, nblocks).map_err(corrupt)?;
+        let cells = dec.bytes()?;
+        if cells.len() != layout.cells.div_ceil(4) {
+            return Err(corrupt("matrix cell store does not match its block sizes"));
         }
-        let pos = ptrs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let stats = QueryStats {
-            queries: dec.usize()?,
-            no_alias: dec.usize()?,
-            by_distinct_locs: dec.usize()?,
-            by_global: dec.usize()?,
-            by_local: dec.usize()?,
-        };
-        Ok(AliasMatrix {
-            ptrs,
-            pos,
-            cells,
-            stats,
-        })
+        if !padding_clear(cells, 2 * layout.cells) {
+            return Err(corrupt("matrix cell store has nonzero padding bits"));
+        }
+        Ok(Self::assemble(ptrs.to_vec(), layout, &cols, cells.to_vec()))
     }
 }
 
-impl DemandCache {
-    pub(crate) fn encode(&self, enc: &mut Enc) {
+impl SigTable {
+    /// Writes the σ-sets and signatures in id order.
+    fn encode(&self, enc: &mut Enc) {
         // σ-sets by dense id (invert the interning map).
         let mut sigma_sets: Vec<&[ValueId]> = vec![&[]; self.sigma_ids.len()];
         for (set, &id) in &self.sigma_ids {
@@ -1113,8 +1449,8 @@ impl DemandCache {
             }
         }
         enc.usize(self.sigs.len());
-        for (igr, ilr) in &self.sigs {
-            match igr {
+        for sig in &self.sigs {
+            match &sig.gr {
                 IGr::Bottom => enc.u8(0),
                 IGr::Top => enc.u8(1),
                 IGr::Support(support) => {
@@ -1126,7 +1462,7 @@ impl DemandCache {
                     }
                 }
             }
-            match ilr {
+            match &sig.lr {
                 None => enc.u8(0),
                 Some(ilr) => {
                     enc.u8(1);
@@ -1146,6 +1482,97 @@ impl DemandCache {
                 }
             }
         }
+    }
+
+    /// Decodes a table over `rbaa` (every `RangeId`/`LocId` is validated
+    /// against its arenas and location table).
+    fn decode(dec: &mut Dec<'_>, rbaa: &RbaaAnalysis, m: &Module) -> Result<Self, PersistError> {
+        let mut table = SigTable::default();
+        let nlocs = rbaa.gr().locs().len();
+        let gr_base = rbaa.gr().arena_arc();
+        let lr_base = rbaa.lr().arena_arc();
+        let n_sigma = dec.len(8)?;
+        for id in 0..n_sigma {
+            let len = dec.len(4)?;
+            let mut set = Vec::with_capacity(len);
+            for _ in 0..len {
+                set.push(ValueId::new(dec.u32()? as usize));
+            }
+            if table.sigma_ids.insert(set, id as u32).is_some() {
+                return Err(corrupt("duplicate σ-set in demand cache"));
+            }
+        }
+        let n_sigs = dec.len(2)?;
+        for id in 0..n_sigs {
+            let gr = match dec.u8()? {
+                0 => IGr::Bottom,
+                1 => IGr::Top,
+                2 => {
+                    let len = dec.len(8)?;
+                    let mut support = Vec::with_capacity(len);
+                    let mut prev: Option<LocId> = None;
+                    for _ in 0..len {
+                        let loc = LocId::new(dec.u32()? as usize);
+                        if loc.index() >= nlocs {
+                            return Err(corrupt("signature references unknown location"));
+                        }
+                        if prev.is_some_and(|p| p.index() >= loc.index()) {
+                            return Err(corrupt("signature support is not sorted"));
+                        }
+                        prev = Some(loc);
+                        let r = gr_base
+                            .range_id(dec.u32()? as usize)
+                            .ok_or_else(|| corrupt("signature references unknown GR range"))?;
+                        support.push((loc, r));
+                    }
+                    IGr::Support(support)
+                }
+                b => return Err(corrupt(format!("invalid GR-signature tag {b}"))),
+            };
+            let lr = match dec.u8()? {
+                0 => None,
+                1 => {
+                    let base = match dec.u8()? {
+                        0 => LocalBase::Fresh(dec.u32()?),
+                        1 => {
+                            let g = sra_ir::GlobalId::new(dec.u32()? as usize);
+                            if g.index() >= m.num_globals() {
+                                return Err(corrupt("signature references unknown global"));
+                            }
+                            LocalBase::Global(g)
+                        }
+                        b => return Err(corrupt(format!("invalid local-base tag {b}"))),
+                    };
+                    let block = dec.opt_u32()?.map(|b| BlockId::new(b as usize));
+                    let sigmas = dec.u32()?;
+                    if sigmas as usize >= n_sigma {
+                        return Err(corrupt("signature references unknown σ-set"));
+                    }
+                    let range = lr_base
+                        .range_id(dec.u32()? as usize)
+                        .ok_or_else(|| corrupt("signature references unknown LR range"))?;
+                    Some(ILr {
+                        base,
+                        block,
+                        sigmas,
+                        range,
+                    })
+                }
+                b => return Err(corrupt(format!("invalid LR-signature tag {b}"))),
+            };
+            let sig = Sig { gr, lr };
+            if table.ids.insert(sig.clone(), id as u32).is_some() {
+                return Err(corrupt("duplicate signature in demand cache"));
+            }
+            table.sigs.push(sig);
+        }
+        Ok(table)
+    }
+}
+
+impl DemandCache {
+    pub(crate) fn encode(&self, enc: &mut Enc) {
+        self.sigs.encode(enc);
         let mut ptr_sig: Vec<(u32, u32, u32)> = self
             .ptr_sig
             .iter()
@@ -1185,83 +1612,8 @@ impl DemandCache {
         m: &Module,
     ) -> Result<Self, PersistError> {
         let mut cache = DemandCache::new(rbaa);
-        let gr_base = rbaa.gr().arena_arc();
-        let lr_base = rbaa.lr().arena_arc();
-        let n_sigma = dec.len(8)?;
-        for id in 0..n_sigma {
-            let len = dec.len(4)?;
-            let mut set = Vec::with_capacity(len);
-            for _ in 0..len {
-                set.push(ValueId::new(dec.u32()? as usize));
-            }
-            if cache.sigma_ids.insert(set, id as u32).is_some() {
-                return Err(corrupt("duplicate σ-set in demand cache"));
-            }
-        }
-        let n_sigs = dec.len(2)?;
-        for id in 0..n_sigs {
-            let igr = match dec.u8()? {
-                0 => IGr::Bottom,
-                1 => IGr::Top,
-                2 => {
-                    let len = dec.len(8)?;
-                    let mut support = Vec::with_capacity(len);
-                    let mut prev: Option<LocId> = None;
-                    for _ in 0..len {
-                        let loc = LocId::new(dec.u32()? as usize);
-                        if loc.index() >= cache.kinds.len() {
-                            return Err(corrupt("signature references unknown location"));
-                        }
-                        if prev.is_some_and(|p| p.index() >= loc.index()) {
-                            return Err(corrupt("signature support is not sorted"));
-                        }
-                        prev = Some(loc);
-                        let r = gr_base
-                            .range_id(dec.u32()? as usize)
-                            .ok_or_else(|| corrupt("signature references unknown GR range"))?;
-                        support.push((loc, r));
-                    }
-                    IGr::Support(support)
-                }
-                b => return Err(corrupt(format!("invalid GR-signature tag {b}"))),
-            };
-            let ilr = match dec.u8()? {
-                0 => None,
-                1 => {
-                    let base = match dec.u8()? {
-                        0 => LocalBase::Fresh(dec.u32()?),
-                        1 => {
-                            let g = sra_ir::GlobalId::new(dec.u32()? as usize);
-                            if g.index() >= m.num_globals() {
-                                return Err(corrupt("signature references unknown global"));
-                            }
-                            LocalBase::Global(g)
-                        }
-                        b => return Err(corrupt(format!("invalid local-base tag {b}"))),
-                    };
-                    let block = dec.opt_u32()?.map(|b| BlockId::new(b as usize));
-                    let sigmas = dec.u32()?;
-                    if sigmas as usize >= n_sigma {
-                        return Err(corrupt("signature references unknown σ-set"));
-                    }
-                    let range = lr_base
-                        .range_id(dec.u32()? as usize)
-                        .ok_or_else(|| corrupt("signature references unknown LR range"))?;
-                    Some(ILr {
-                        base,
-                        block,
-                        sigmas,
-                        range,
-                    })
-                }
-                b => return Err(corrupt(format!("invalid LR-signature tag {b}"))),
-            };
-            let key = (igr, ilr);
-            if cache.sig_ids.insert(key.clone(), id as u32).is_some() {
-                return Err(corrupt("duplicate signature in demand cache"));
-            }
-            cache.sigs.push(key);
-        }
+        cache.sigs = SigTable::decode(dec, rbaa, m)?;
+        let n_sigs = cache.sigs.sigs.len();
         let n_ptr = dec.len(12)?;
         let mut prev: Option<(u32, u32)> = None;
         for _ in 0..n_ptr {
@@ -1309,6 +1661,13 @@ impl DemandCache {
 mod tests {
     use super::*;
     use sra_ir::{BinOp, Callee, CmpOp, FunctionBuilder};
+
+    /// The matrix of `f` over its pointer values, on a pool of exactly
+    /// `threads` workers.
+    fn build_on(rbaa: &RbaaAnalysis, m: &Module, f: FuncId, threads: usize) -> AliasMatrix {
+        let pool = pool::WorkerPool::forced(threads);
+        AliasMatrix::build_for_on(rbaa, f, pointer_values(m, f), &pool)
+    }
 
     /// The paper's Figure 1 end-to-end: the two stores write provably
     /// disjoint regions, disambiguated by the *global* test.
@@ -1610,17 +1969,17 @@ mod tests {
 
         let rbaa = RbaaAnalysis::analyze(&m);
         for f in [ints, one_ptr] {
-            let matrix = AliasMatrix::build(&rbaa, &m, f);
+            let matrix = build_on(&rbaa, &m, f, 1);
             assert_eq!(matrix.stats().queries, 0, "{f}");
             assert_eq!(matrix.stats().no_alias, 0, "{f}");
             assert_eq!(matrix.stats().percent_no_alias(), 0.0, "{f}");
         }
         // The empty matrix answers lookups about outsiders with None…
-        let matrix = AliasMatrix::build(&rbaa, &m, ints);
+        let matrix = build_on(&rbaa, &m, ints, 1);
         assert!(matrix.pointers().is_empty());
         assert_eq!(matrix.lookup(n, n1), None);
         // …and the single-pointer matrix still covers its diagonal.
-        let matrix = AliasMatrix::build(&rbaa, &m, one_ptr);
+        let matrix = build_on(&rbaa, &m, one_ptr, 1);
         assert_eq!(matrix.pointers(), &[p]);
         assert_eq!(matrix.lookup(p, p), Some((AliasResult::MayAlias, None)));
     }
@@ -1704,31 +2063,145 @@ mod tests {
         (m, fid)
     }
 
+    /// Every shape of the support partition, in two functions plus
+    /// [`mixed_pointer_module`]'s: `solo` is `main`-shaped (each
+    /// pointer from its own `malloc`, so every pair is implicit);
+    /// `edges` puts an `Unknown` parameter and two distinct `Global`
+    /// sites into one block, bridges two `malloc` blocks with a φ whose
+    /// support spans both, and adds a ⊤ row, a ⊥ pointer and a
+    /// singleton.
+    fn partition_edge_module() -> (Module, FuncId, FuncId) {
+        let mut m = Module::new();
+        let g1 = m.add_global("g1", 16);
+        let g2 = m.add_global("g2", 16);
+
+        let mut b = FunctionBuilder::new("solo", &[], None);
+        let ten = b.const_int(10);
+        for _ in 0..12 {
+            b.malloc(ten);
+        }
+        b.ret(None);
+        let solo = m.add_function(b.finish());
+
+        let mut b = FunctionBuilder::new("edges", &[Ty::Ptr, Ty::Int], None);
+        let unknown = b.param(0);
+        let n = b.param(1);
+        let ten = b.const_int(10);
+        let one = b.const_int(1);
+        let _u1 = b.ptr_add(unknown, one);
+        let a = b.global_addr(g1, Ty::Ptr);
+        let _a1 = b.ptr_add(a, one);
+        let _g = b.global_addr(g2, Ty::Ptr);
+        let x = b.malloc(ten);
+        let _x1 = b.ptr_add(x, one);
+        let y = b.malloc(ten);
+        let _y1 = b.ptr_add(y, one);
+        let then = b.create_block();
+        let other = b.create_block();
+        let join = b.create_block();
+        let c = b.cmp(CmpOp::Lt, n, ten);
+        b.br(c, then, other);
+        b.switch_to(then);
+        b.jump(join);
+        b.switch_to(other);
+        b.jump(join);
+        b.switch_to(join);
+        let xy = b.phi(Ty::Ptr, &[(then, x), (other, y)]);
+        let _xy1 = b.ptr_add(xy, one);
+        let _top = b.load(x, Ty::Ptr);
+        let _dead = b.free(y);
+        let _alone = b.malloc(ten);
+        b.ret(None);
+        let mut f = b.finish();
+        f.set_exported(true);
+        let edges = m.add_function(f);
+        sra_ir::verify::verify_module(&m).expect("verifies");
+        (m, solo, edges)
+    }
+
+    /// Every function of the partition fixtures, with its module.
+    fn partition_fixtures() -> Vec<(Module, FuncId)> {
+        let (mixed, f) = mixed_pointer_module();
+        let (edges, solo, edge) = partition_edge_module();
+        vec![(mixed, f), (edges.clone(), solo), (edges, edge)]
+    }
+
+    /// Block-diagonal storage answers every pair exactly like the
+    /// uncached reference, its statistics equal the reference sweep's,
+    /// and only blocks and ⊤ rows store cells.
+    #[test]
+    fn partitioned_matrix_matches_reference_on_every_shape() {
+        for (m, f) in partition_fixtures() {
+            let rbaa = RbaaAnalysis::analyze(&m);
+            let ptrs = pointer_values(&m, f);
+            let matrix = build_on(&rbaa, &m, f, 1);
+            assert_eq!(
+                *matrix.stats(),
+                QueryStats::run_pairs(&rbaa, f, &ptrs),
+                "{f}"
+            );
+            for &p in &ptrs {
+                for &q in &ptrs {
+                    assert_eq!(
+                        matrix.lookup(p, q),
+                        Some(rbaa.alias_with_test(f, p, q)),
+                        "{f}: {p} vs {q}"
+                    );
+                }
+            }
+        }
+
+        let (m, solo, edges) = partition_edge_module();
+        let rbaa = RbaaAnalysis::analyze(&m);
+        // `main`-shaped: nothing stored, yet every pair answered.
+        let matrix = build_on(&rbaa, &m, solo, 2);
+        assert_eq!(matrix.layout.cells, 0);
+        assert_eq!(matrix.bytes().packed_bytes, 0);
+        assert_eq!(matrix.bytes().pairs, 66);
+        assert_eq!(matrix.bytes().saving_ratio(), f64::INFINITY);
+        assert_eq!(matrix.stats().by_distinct_locs, 66);
+
+        // `edges`: the Unknown/Global block {u, u+1, g1, g1+1, g2}, the
+        // bridged block {x, x+1, y, y+1, xy, xy+1}, the singleton, one
+        // ⊤ row over the 12 non-⊥ pointers, and the ⊥ pointer.
+        let matrix = build_on(&rbaa, &m, edges, 2);
+        let l = &matrix.layout;
+        let mut lens: Vec<u32> = l.blocks.iter().map(|b| b.len).collect();
+        lens.sort_unstable();
+        assert_eq!(lens, [5, 6]);
+        assert_eq!((l.multi, l.regular, l.tops), (11, 12, 1));
+        assert_eq!(l.cells, tri(5) + tri(6) + 12);
+        assert_eq!(matrix.ptrs.len(), 14);
+    }
+
     /// The tiled parallel build must be byte-identical to the serial
     /// one: same verdicts on every pair, same stats, same byte layout.
     #[test]
     fn parallel_build_matches_serial() {
-        let (m, fid) = mixed_pointer_module();
-        let rbaa = RbaaAnalysis::analyze(&m);
-        let ptrs = pointer_values(&m, fid);
-        let serial = AliasMatrix::build(&rbaa, &m, fid);
-        for threads in [2, 4, 7] {
-            let tiled = AliasMatrix::build_with(&rbaa, &m, fid, threads);
-            assert_eq!(serial.stats(), tiled.stats(), "t{threads}");
-            assert_eq!(serial.bytes(), tiled.bytes(), "t{threads}");
-            assert_eq!(serial.cells, tiled.cells, "t{threads}");
-            for &p in &ptrs {
-                for &q in &ptrs {
-                    assert_eq!(serial.lookup(p, q), tiled.lookup(p, q));
+        for (m, fid) in partition_fixtures() {
+            let rbaa = RbaaAnalysis::analyze(&m);
+            let ptrs = pointer_values(&m, fid);
+            let serial = build_on(&rbaa, &m, fid, 1);
+            for threads in [2, 4, 7] {
+                let tiled = build_on(&rbaa, &m, fid, threads);
+                assert_eq!(serial.stats(), tiled.stats(), "t{threads}");
+                assert_eq!(serial.bytes(), tiled.bytes(), "t{threads}");
+                assert_eq!(serial.cells, tiled.cells, "t{threads}");
+                assert_eq!(serial.ids, tiled.ids, "t{threads}");
+                for &p in &ptrs {
+                    for &q in &ptrs {
+                        assert_eq!(serial.lookup(p, q), tiled.lookup(p, q));
+                    }
                 }
             }
         }
     }
 
-    /// The module-sweep build (shared scratch overlays reused across
-    /// every function of a chunk) must be cell-for-cell identical to
-    /// per-function builds — memoisation carried across functions can
-    /// never change a verdict, at any pool width.
+    /// The module-sweep build (cells of many functions tiled together,
+    /// scratch overlays reused across every function of a tile) must
+    /// be cell-for-cell identical to per-function builds — memoisation
+    /// carried across functions can never change a verdict, at any
+    /// pool width.
     #[test]
     fn build_all_matches_per_function_builds() {
         let mut m = Module::new();
@@ -1743,15 +2216,13 @@ mod tests {
                 let base = if off % 2 == 0 { p } else { q };
                 let _ = b.ptr_add(base, c);
             }
+            let _top = b.load(p, Ty::Ptr);
             b.ret(None);
             fids.push(m.add_function(b.finish()));
         }
         sra_ir::verify::verify_module(&m).expect("verifies");
         let rbaa = RbaaAnalysis::analyze(&m);
-        let reference: Vec<AliasMatrix> = fids
-            .iter()
-            .map(|&f| AliasMatrix::build(&rbaa, &m, f))
-            .collect();
+        let reference: Vec<AliasMatrix> = fids.iter().map(|&f| build_on(&rbaa, &m, f, 1)).collect();
         for threads in [1, 2, 4] {
             let pool = pool::WorkerPool::forced(threads);
             let swept = AliasMatrix::build_all_on(&rbaa, &m, &pool);
@@ -1764,18 +2235,23 @@ mod tests {
         }
     }
 
-    /// Cells pack four verdicts per byte, and the accounting says so.
+    /// Cells pack four verdicts per byte, block ids pack into as few
+    /// bits as the block count needs, and the accounting counts both.
     #[test]
     fn packed_cells_quarter_the_bytes() {
         let (m, fid) = mixed_pointer_module();
         let rbaa = RbaaAnalysis::analyze(&m);
-        let matrix = AliasMatrix::build(&rbaa, &m, fid);
+        let matrix = build_on(&rbaa, &m, fid, 1);
         let n = matrix.pointers().len();
         let pairs = n * (n - 1) / 2;
         let bytes = matrix.bytes();
         assert_eq!(bytes.pairs, pairs);
         assert_eq!(bytes.unpacked_bytes, pairs);
-        assert_eq!(bytes.packed_bytes, pairs.div_ceil(4));
+        // Blocks {p, p+0, p+2, p+4} and {q, q+1, q+3, q+5} (one id bit
+        // each, one byte in all) plus the ⊤ row over those eight.
+        assert_eq!(matrix.layout.blocks.len(), 2);
+        assert_eq!(matrix.layout.cells, 6 + 6 + 8);
+        assert_eq!(bytes.packed_bytes, 20usize.div_ceil(4) + 1);
         assert!(bytes.saving_ratio() >= 3.0, "{:?}", bytes);
         let mut total = MatrixBytes::default();
         total.merge(&bytes);
@@ -1784,35 +2260,60 @@ mod tests {
         assert_eq!(MatrixBytes::default().saving_ratio(), 0.0);
     }
 
+    /// Bit-packed tables read back what was written at every width.
+    #[test]
+    fn bit_tables_roundtrip() {
+        for width in [0, 1, 2, 3, 7, 13, 32] {
+            let max = if width == 0 {
+                0
+            } else {
+                u32::MAX >> (32 - width)
+            };
+            let values: Vec<u32> = (0..40u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) & max)
+                .collect();
+            let packed = pack_bits(values.iter().copied(), values.len(), width);
+            assert!(padding_clear(&packed, values.len() * width as usize));
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(get_bits(&packed, i, width), v, "width {width}, value {i}");
+            }
+        }
+        for t in 0..200 {
+            let h = tri_row(t);
+            assert!(tri(h) <= t && t < tri(h + 1), "{t}");
+        }
+    }
+
     /// Demand-driven answers are byte-identical to the uncached
     /// reference, and repeats hit the memo instead of re-proving.
     #[test]
     fn demand_cache_matches_reference_and_memoises() {
-        let (m, fid) = mixed_pointer_module();
-        let rbaa = RbaaAnalysis::analyze(&m);
-        let ptrs = pointer_values(&m, fid);
-        let mut cache = rbaa.demand_cache();
-        for &p in &ptrs {
-            for &q in &ptrs {
-                assert_eq!(
-                    cache.query(&rbaa, fid, p, q),
-                    rbaa.alias_with_test(fid, p, q)
-                );
+        for (m, fid) in partition_fixtures() {
+            let rbaa = RbaaAnalysis::analyze(&m);
+            let ptrs = pointer_values(&m, fid);
+            let mut cache = rbaa.demand_cache();
+            for &p in &ptrs {
+                for &q in &ptrs {
+                    assert_eq!(
+                        cache.query(&rbaa, fid, p, q),
+                        rbaa.alias_with_test(fid, p, q)
+                    );
+                }
             }
+            let stats = cache.stats();
+            assert_eq!(stats.queries, ptrs.len() * ptrs.len());
+            assert_eq!(stats.sig_misses, ptrs.len());
+            // Pair verdicts are proved per signature class, not per pair.
+            let s = stats.sig_misses;
+            assert!(stats.pair_misses <= s * (s + 1) / 2);
+            // A repeat query is pure memo traffic.
+            let before = cache.stats();
+            cache.query(&rbaa, fid, ptrs[0], ptrs[1]);
+            let after = cache.stats();
+            assert_eq!(after.sig_misses, before.sig_misses);
+            assert_eq!(after.pair_misses, before.pair_misses);
+            assert_eq!(after.queries, before.queries + 1);
         }
-        let stats = cache.stats();
-        assert_eq!(stats.queries, ptrs.len() * ptrs.len());
-        assert_eq!(stats.sig_misses, ptrs.len());
-        // Pair verdicts are proved per signature class, not per pair.
-        let s = stats.sig_misses;
-        assert!(stats.pair_misses <= s * (s + 1) / 2);
-        // A repeat query is pure memo traffic.
-        let before = cache.stats();
-        cache.query(&rbaa, fid, ptrs[0], ptrs[1]);
-        let after = cache.stats();
-        assert_eq!(after.sig_misses, before.sig_misses);
-        assert_eq!(after.pair_misses, before.pair_misses);
-        assert_eq!(after.queries, before.queries + 1);
     }
 
     /// A single cold query proves only the one signature pair it

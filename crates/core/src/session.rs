@@ -1315,31 +1315,11 @@ impl AnalysisSession {
             // No matrices in demand mode — queries regrow the cache.
             return;
         }
-        let rbaa = &self.rbaa;
-        let m = &self.module;
-        // One invalidated matrix gets the whole worker budget for its
-        // signature triangle (`run_indexed` of one job runs inline, so
-        // the pool is free for the tiles); several share the pool
-        // function-wise (tiling inside each would oversubscribe it).
-        // A full rebuild — construction, or a whole-module edit — runs
-        // the module sweep, whose chunks reuse scratch overlays (and
-        // their accumulated comparison memos) across functions.
-        let single = rebuild.len() == 1;
-        let pool = &self.pool;
-        let sweep =
-            rebuild.len() == m.num_functions() && rebuild.iter().enumerate().all(|(k, &i)| k == i);
-        let fresh = if sweep {
-            AliasMatrix::build_all_on(rbaa, m, pool)
-        } else {
-            pool.run_indexed(rebuild.len(), |k| {
-                let fid = FuncId::new(rebuild[k]);
-                if single {
-                    AliasMatrix::build_with_on(rbaa, m, fid, pool)
-                } else {
-                    AliasMatrix::build(rbaa, m, fid)
-                }
-            })
-        };
+        // The builder tiles the invalidated functions' stored cells
+        // over the pool by cell count, whether one function or the
+        // whole module was invalidated.
+        let fids: Vec<FuncId> = rebuild.iter().map(|&i| FuncId::new(i)).collect();
+        let fresh = AliasMatrix::build_funcs(&self.rbaa, &self.module, &fids, &self.pool);
         self.stats.matrices_rebuilt += rebuild.len();
         let mut slots: Vec<Option<std::sync::Arc<AliasMatrix>>> =
             std::mem::take(&mut self.matrices)

@@ -341,8 +341,8 @@ where
 /// Splits `0..total` into at most `pieces` contiguous, non-empty
 /// `(start, end)` ranges of near-equal length, in order.
 ///
-/// The matrix build tiles its signature triangle with this: the tile
-/// list is deterministic (it depends only on `total` and `pieces`), so
+/// The matrix build tiles its stored cells with this: the tile list is
+/// deterministic (it depends only on `total` and `pieces`), so
 /// concatenating per-tile results reproduces the serial sweep exactly.
 pub fn chunk_bounds(total: usize, pieces: usize) -> Vec<(usize, usize)> {
     if total == 0 {

@@ -11,8 +11,9 @@
 use proptest::prelude::*;
 use sra::core::{
     analyze_parallel, pointer_values, AliasMatrix, AnalysisConfig, AnalysisSession, QueryMode,
+    WorkerPool,
 };
-use sra::ir::Module;
+use sra::ir::{Callee, CmpOp, FunctionBuilder, Module, Ty};
 use sra::workloads::edits;
 use sra::workloads::scaling;
 
@@ -22,9 +23,11 @@ use sra::workloads::scaling;
 fn assert_three_way_agreement(m: &Module, threads: usize) -> Result<(), TestCaseError> {
     let rbaa = analyze_parallel(m, AnalysisConfig::builder().threads(threads).build());
     let mut demand = rbaa.demand_cache();
+    let serial_pool = WorkerPool::forced(1);
+    let tiled_pool = WorkerPool::forced(threads.max(2));
     for f in m.func_ids() {
-        let serial = AliasMatrix::build(&rbaa, m, f);
-        let tiled = AliasMatrix::build_with(&rbaa, m, f, threads.max(2));
+        let serial = AliasMatrix::build_for_on(&rbaa, f, pointer_values(m, f), &serial_pool);
+        let tiled = AliasMatrix::build_for_on(&rbaa, f, pointer_values(m, f), &tiled_pool);
         prop_assert_eq!(
             serial.stats(),
             tiled.stats(),
@@ -72,6 +75,82 @@ fn assert_three_way_agreement(m: &Module, threads: usize) -> Result<(), TestCase
         }
     }
     Ok(())
+}
+
+/// The shapes of the matrices' support partition, sized by the
+/// generator: a `main`-shaped function whose pointers each come from
+/// their own `malloc` (every pair implicit), and an exported function
+/// mixing `Unknown` parameters and external-call results with
+/// `globals` distinct `Global` sites (one block), φs whose support
+/// spans two `malloc` blocks, ⊤ loads (wide rows), freed ⊥ pointers
+/// and lone singletons.
+fn partition_edge_module(
+    singles: usize,
+    globals: usize,
+    bridges: usize,
+    tops: usize,
+    bottoms: usize,
+) -> Module {
+    let mut m = Module::new();
+    let mut b = FunctionBuilder::new("solo", &[], None);
+    let size = b.const_int(16);
+    for _ in 0..singles + 2 {
+        b.malloc(size);
+    }
+    b.ret(None);
+    m.add_function(b.finish());
+
+    let gs: Vec<_> = (0..globals)
+        .map(|i| m.add_global(&format!("g{i}"), 16))
+        .collect();
+    let mut b = FunctionBuilder::new("edges", &[Ty::Ptr, Ty::Int], None);
+    let unknown = b.param(0);
+    let n = b.param(1);
+    let size = b.const_int(16);
+    let one = b.const_int(1);
+    let _ = b.ptr_add(unknown, one);
+    let external = b.call(Callee::External("getbuf".into()), &[], Some(Ty::Ptr));
+    let _ = b.ptr_add(external, one);
+    for &g in &gs {
+        let a = b.global_addr(g, Ty::Ptr);
+        let _ = b.ptr_add(a, one);
+    }
+    let mut mallocs = Vec::new();
+    for _ in 0..bridges + 1 {
+        let x = b.malloc(size);
+        let _ = b.ptr_add(x, one);
+        mallocs.push(x);
+    }
+    for k in 0..bridges {
+        let then = b.create_block();
+        let other = b.create_block();
+        let join = b.create_block();
+        let c = b.cmp(CmpOp::Lt, n, size);
+        b.br(c, then, other);
+        b.switch_to(then);
+        b.jump(join);
+        b.switch_to(other);
+        b.jump(join);
+        b.switch_to(join);
+        let xy = b.phi(Ty::Ptr, &[(then, mallocs[k]), (other, mallocs[k + 1])]);
+        let _ = b.ptr_add(xy, one);
+    }
+    for k in 0..tops {
+        let _ = b.load(mallocs[k % mallocs.len()], Ty::Ptr);
+    }
+    for _ in 0..bottoms {
+        let dead = b.malloc(size);
+        let _ = b.free(dead);
+    }
+    for _ in 0..singles {
+        b.malloc(size);
+    }
+    b.ret(None);
+    let mut f = b.finish();
+    f.set_exported(true);
+    m.add_function(f);
+    sra::ir::verify::verify_module(&m).expect("partition fixtures verify");
+    m
 }
 
 /// Replays a generated edit stream through a matrix-mode session and a
@@ -174,6 +253,22 @@ proptest! {
         threads in 1usize..5,
     ) {
         let m = scaling::generate_giant_function(ptrs, cliques, seed);
+        assert_three_way_agreement(&m, threads)?;
+    }
+
+    /// Every shape of the support partition: singletons, one
+    /// Unknown/Global block over distinct globals, malloc blocks
+    /// bridged by φs, ⊤ rows and ⊥ pointers.
+    #[test]
+    fn demand_equals_matrix_on_partition_edges(
+        singles in 0usize..6,
+        globals in 0usize..4,
+        bridges in 0usize..4,
+        tops in 0usize..3,
+        bottoms in 0usize..3,
+        threads in 1usize..5,
+    ) {
+        let m = partition_edge_module(singles, globals, bridges, tops, bottoms);
         assert_three_way_agreement(&m, threads)?;
     }
 

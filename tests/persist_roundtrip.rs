@@ -10,8 +10,11 @@
 //! is a structured [`PersistError`], never a panic and never a wrong
 //! verdict.
 
+use std::hash::Hasher;
+
 use proptest::prelude::*;
 use sra::core::{pointer_values, AnalysisConfig, AnalysisSession, PersistError, QueryMode};
+use sra::symbolic::FxHasher;
 use sra::workloads::edits;
 use sra::workloads::scaling;
 
@@ -165,6 +168,15 @@ fn corruption_is_rejected_never_misread() {
         );
     }
 
+    // A format-v2 stream (the full-triangle matrix layout) is refused
+    // by version, not misparsed.
+    let mut v2 = bytes.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        AnalysisSession::load(&mut v2.as_slice()),
+        Err(PersistError::UnsupportedVersion(2))
+    ));
+
     // A future format version is refused by name, not misparsed.
     let mut bumped = bytes.clone();
     let version = u32::from_le_bytes(bumped[8..12].try_into().unwrap()) + 1;
@@ -181,6 +193,205 @@ fn corruption_is_rejected_never_misread() {
         AnalysisSession::load(&mut smashed.as_slice()),
         Err(PersistError::BadMagic)
     ));
+}
+
+/// One matrix item of a format-v3 snapshot: the block count, the
+/// bit-packed per-pointer block codes and the packed cell store.
+struct MatrixItem {
+    nblocks: u64,
+    codes: Vec<u8>,
+    cells: Vec<u8>,
+}
+
+impl MatrixItem {
+    fn width(&self) -> usize {
+        (usize::BITS - (self.nblocks as usize + 2).leading_zeros()) as usize
+    }
+
+    fn code(&self, i: usize) -> u64 {
+        let w = self.width();
+        (0..w)
+            .map(|b| {
+                let bit = i * w + b;
+                u64::from(self.codes[bit / 8] >> (bit % 8) & 1) << b
+            })
+            .sum()
+    }
+
+    /// Cells the codes of `n` pointers call for: a triangle per block,
+    /// plus a row per ⊤ pointer against every earlier non-⊥ column.
+    fn stored_cells(&self, n: usize) -> usize {
+        let tri = |k: usize| k * k.saturating_sub(1) / 2;
+        let mut sizes = vec![0usize; self.nblocks as usize];
+        let (mut regular, mut tops) = (0, 0);
+        for i in 0..n {
+            let c = self.code(i);
+            if c < self.nblocks {
+                sizes[c as usize] += 1;
+                regular += 1;
+            } else if c == self.nblocks {
+                regular += 1;
+            } else if c == self.nblocks + 1 {
+                tops += 1;
+            }
+        }
+        sizes.iter().map(|&k| tri(k)).sum::<usize>() + tri(regular + tops) - tri(regular)
+    }
+}
+
+fn take_u64(b: &[u8], at: &mut usize) -> u64 {
+    let v = u64::from_le_bytes(b[*at..*at + 8].try_into().unwrap());
+    *at += 8;
+    v
+}
+
+fn take_bytes(b: &[u8], at: &mut usize) -> Vec<u8> {
+    let n = take_u64(b, at) as usize;
+    *at += n;
+    b[*at - n..*at].to_vec()
+}
+
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend((b.len() as u64).to_le_bytes());
+    out.extend(b);
+}
+
+/// Rewrites the first matrix item of `snapshot` that `pick` accepts
+/// (given the item and its function's pointer count) with `mutate`,
+/// re-sealing the section checksum so only the matrix decoder can
+/// object. Returns `None` when no item qualifies.
+fn corrupt_matrix(
+    snapshot: &[u8],
+    ptr_counts: &[usize],
+    pick: impl Fn(&MatrixItem, usize) -> bool,
+    mutate: impl Fn(&mut MatrixItem),
+) -> Option<Vec<u8>> {
+    const MATRICES: u8 = 6;
+    let mut out = snapshot[..12].to_vec();
+    let mut at = 12;
+    let mut done = false;
+    while at < snapshot.len() {
+        let tag = snapshot[at];
+        at += 1;
+        let mut payload = take_bytes(snapshot, &mut at);
+        at += 8;
+        if tag == MATRICES {
+            let mut p = 0;
+            let count = take_u64(&payload, &mut p);
+            let mut rebuilt = count.to_le_bytes().to_vec();
+            for &n in &ptr_counts[..count as usize] {
+                let item = take_bytes(&payload, &mut p);
+                let mut q = 0;
+                let mut mx = MatrixItem {
+                    nblocks: take_u64(&item, &mut q),
+                    codes: take_bytes(&item, &mut q),
+                    cells: take_bytes(&item, &mut q),
+                };
+                if !done && pick(&mx, n) {
+                    mutate(&mut mx);
+                    done = true;
+                }
+                let mut enc = mx.nblocks.to_le_bytes().to_vec();
+                put_bytes(&mut enc, &mx.codes);
+                put_bytes(&mut enc, &mx.cells);
+                put_bytes(&mut rebuilt, &enc);
+            }
+            payload = rebuilt;
+        }
+        let mut h = FxHasher::default();
+        h.write(&payload);
+        out.push(tag);
+        put_bytes(&mut out, &payload);
+        out.extend(h.finish().to_le_bytes());
+    }
+    done.then_some(out)
+}
+
+/// The matrix decoder's own checks, one corrupted stream each, every
+/// one re-sealed under a valid checksum: block codes, the cell-store
+/// length against the block sizes, and padding bits of both tables.
+/// Each must be a structured [`PersistError::Corrupt`], never a panic
+/// and never a load.
+#[test]
+fn matrix_block_corruption_is_rejected_never_misread() {
+    let m = scaling::generate_module(120, 9);
+    let ptr_counts: Vec<usize> = m.func_ids().map(|f| pointer_values(&m, f).len()).collect();
+    let session = AnalysisSession::with_config(m, AnalysisConfig::default())
+        .expect("generated modules verify");
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("in-memory save");
+    let rejected = |bad: Option<Vec<u8>>, what: &str| {
+        let bad = bad.unwrap_or_else(|| panic!("no matrix qualifies for {what}"));
+        match AnalysisSession::load(&mut bad.as_slice()) {
+            Err(PersistError::Corrupt(why)) => why,
+            other => panic!("{what}: expected a corrupt-stream error, got {other:?}"),
+        }
+    };
+
+    // A block code past the ⊥ code.
+    let why = rejected(
+        corrupt_matrix(
+            &bytes,
+            &ptr_counts,
+            |mx, n| n > 0 && (1u64 << mx.width()) - 1 > mx.nblocks + 2,
+            |mx| {
+                let w = mx.width();
+                for bit in 0..w {
+                    mx.codes[bit / 8] |= 1 << (bit % 8);
+                }
+            },
+        ),
+        "an out-of-range block code",
+    );
+    assert!(why.contains("block id"), "{why}");
+
+    // Block codes not numbered by first appearance.
+    let why = rejected(
+        corrupt_matrix(
+            &bytes,
+            &ptr_counts,
+            |mx, _| mx.nblocks >= 2 && mx.code(0) == 0,
+            |mx| mx.codes[0] ^= 1,
+        ),
+        "block codes out of first-appearance order",
+    );
+    assert!(why.contains("first appearance"), "{why}");
+
+    // A cell store one byte longer than the block sizes call for.
+    let why = rejected(
+        corrupt_matrix(
+            &bytes,
+            &ptr_counts,
+            |mx, _| mx.nblocks >= 1,
+            |mx| mx.cells.push(0),
+        ),
+        "a cell store longer than its blocks",
+    );
+    assert!(why.contains("block sizes"), "{why}");
+
+    // A set padding bit after the last stored cell.
+    let why = rejected(
+        corrupt_matrix(
+            &bytes,
+            &ptr_counts,
+            |mx, n| mx.stored_cells(n) % 4 != 0,
+            |mx| *mx.cells.last_mut().expect("cells stored") |= 0xC0,
+        ),
+        "a set cell padding bit",
+    );
+    assert!(why.contains("padding"), "{why}");
+
+    // A set padding bit after the last block code.
+    let why = rejected(
+        corrupt_matrix(
+            &bytes,
+            &ptr_counts,
+            |mx, n| (n * mx.width()) % 8 != 0,
+            |mx| *mx.codes.last_mut().expect("codes stored") |= 0x80,
+        ),
+        "a set block-code padding bit",
+    );
+    assert!(why.contains("padding"), "{why}");
 }
 
 /// 512-case sweep of the roundtrip property, split across both
