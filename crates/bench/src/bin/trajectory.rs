@@ -382,14 +382,19 @@ fn main() {
     let scratch = median_time(|| scratch_replay(&m, &stream));
     let base = build_session(&m);
     let mut replicas: Vec<_> = (0..=SAMPLES).map(|_| base.clone()).collect();
-    let session = median_time(move || {
+    // Reuse counters of one replay (each replica starts from zero).
+    let mut replay_stats = *base.stats();
+    let session = median_time(|| {
         let mut s = replicas.pop().expect("one replica per sample");
-        session_replay(&mut s, &stream)
+        let work = session_replay(&mut s, &stream);
+        replay_stats = *s.stats();
+        work
     });
     let session_ratio = scratch.as_secs_f64() / session.as_secs_f64();
     eprintln!(
         "session ({SESSION_EDITS} edits): scratch {scratch:?}, session {session:?} \
-         ({session_ratio:.2}x)"
+         ({session_ratio:.2}x); GR functions {} solved, {} reused",
+        replay_stats.gr_functions_solved, replay_stats.gr_functions_reused
     );
 
     // Group 3: interned vs boxed on the equality/join-heavy lattice
@@ -667,7 +672,8 @@ fn main() {
          \"all_pairs/per_query\": {{ \"median_ns\": {}, \"work\": {SCALING_INSTS} }},\n    \
          \"all_pairs/batched_t4\": {{ \"median_ns\": {}, \"work\": {SCALING_INSTS} }},\n    \
          \"session/scratch_per_edit\": {{ \"median_ns\": {}, \"work\": {SCALING_INSTS} }},\n    \
-         \"session/session_per_edit\": {{ \"median_ns\": {}, \"work\": {SCALING_INSTS} }},\n    \
+         \"session/session_per_edit\": {{ \"median_ns\": {}, \"work\": {SCALING_INSTS}, \
+         \"gr_functions_solved\": {}, \"gr_functions_reused\": {} }},\n    \
          \"interning/boxed\": {{ \"median_ns\": {}, \"work\": {INTERNING_RANGES} }},\n    \
          \"interning/interned\": {{ \"median_ns\": {}, \"work\": {INTERNING_RANGES} }},\n    \
          \"service/single_thread\": {{ \"median_ns\": {}, \"work\": {SERVICE_INSTS} }},\n    \
@@ -743,6 +749,8 @@ fn main() {
         batched.as_nanos(),
         scratch.as_nanos(),
         session.as_nanos(),
+        replay_stats.gr_functions_solved,
+        replay_stats.gr_functions_reused,
         boxed.as_nanos(),
         interned.as_nanos(),
         single_qps.1.as_nanos(),

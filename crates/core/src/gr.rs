@@ -163,17 +163,9 @@ impl GrAnalysis {
         let components = graph.weak_components();
         let callers = build_callers(m);
         let cfgs = build_cfgs(m);
+        let cond = Condensation::build(&graph);
         let (states, solver_arena, ascending_sweeps) = {
-            let mut solver = GrSolver::new(
-                m,
-                ranges,
-                &locs,
-                config,
-                &callers,
-                &cfgs,
-                Condensation::build(&graph),
-                pool,
-            );
+            let mut solver = GrSolver::new(m, ranges, &locs, config, &callers, &cfgs, &cond, pool);
             solver.run(&components);
             (solver.states, solver.arena, solver.sweeps)
         };
@@ -340,10 +332,13 @@ fn canonicalize_states_on(
     (out, Arc::new(arena))
 }
 
-/// A call site: caller and actual arguments.
+/// A call site: caller, actual arguments, and whether the call's
+/// result is a pointer (then the caller reads the callee's return
+/// state).
 pub(crate) struct CallSite {
     pub(crate) caller: FuncId,
     pub(crate) args: Vec<ValueId>,
+    pub(crate) ptr_result: bool,
 }
 
 /// The call sites targeting each function, callers in id order, sites
@@ -366,6 +361,7 @@ pub(crate) fn build_callers(m: &Module) -> Vec<Vec<CallSite>> {
                     callers[target.index()].push(CallSite {
                         caller: fid,
                         args: args.clone(),
+                        ptr_result: f.value(v).ty() == Some(Ty::Ptr),
                     });
                 }
             }
@@ -699,17 +695,38 @@ fn remap_state(s: &mut PtrState, xl: &OverlayXlate) {
 /// the scratch analysis execute the same code over each component —
 /// byte-identity is structural, and `tests/session_equivalence.rs`
 /// re-verifies it on random modules and edit streams.
+///
+/// # Input-closed subsets
+///
+/// The same argument goes one level finer. A function reads only its
+/// callers' actuals (for pointer formals) and its callees' returns
+/// (for pointer-typed calls). A set of functions closed under those
+/// reads and under SCC membership, swept alone on the component's
+/// schedule restricted to it, follows exactly the trajectory it
+/// follows inside the whole component: the sweep index (hence widening
+/// and direction) is the same, and the relative order of any two
+/// call-adjacent functions is the same. The session re-solves such
+/// subsets ([`GrSolver::component_schedules`] restricts to any member
+/// list). Slots of functions never seeded are never read and stay
+/// unallocated, and [`GrSolver::settle`] records, per function, the
+/// last ascending sweep that changed it, so a component's sweep count
+/// can be recombined from re-solved and cached functions.
 pub(crate) struct GrSolver<'a> {
     pub(crate) ctx: SweepCtx<'a>,
     pub(crate) config: GrConfig,
-    pub(crate) cond: Condensation,
+    pub(crate) cond: &'a Condensation,
     /// The solver's working arena: a clone of the bootstrap analysis'
     /// module arena (so `R(c)` handles resolve directly), extended by
     /// everything the fixpoint builds.
     pub(crate) arena: ExprArena,
+    /// Per-function states; empty until the function is seeded.
     pub(crate) states: Vec<Vec<PtrState>>,
     /// Join of the return states of each function.
     pub(crate) ret_states: Vec<PtrState>,
+    /// Per function: the last ascending sweep (1-based) whose pass over
+    /// it changed its state or return state, 0 when none did. Reset by
+    /// [`GrSolver::seed_function`].
+    pub(crate) settle: Vec<u32>,
     /// Ascending sweeps the fixpoint took (max over components).
     pub(crate) sweeps: u32,
     /// The pool wave levels dispatch onto (a width-1 pool runs every
@@ -729,14 +746,10 @@ impl<'a> GrSolver<'a> {
         config: GrConfig,
         callers: &'a [Vec<CallSite>],
         cfgs: &'a [Cfg],
-        cond: Condensation,
+        cond: &'a Condensation,
         pool: &'a pool::WorkerPool,
     ) -> Self {
         let nf = m.num_functions();
-        let states = m
-            .func_ids()
-            .map(|f| vec![PtrState::bottom(); m.function(f).num_values()])
-            .collect();
         // The clone starts with fresh counters: the bootstrap arena's
         // op stats are already reported by the range analysis itself,
         // and the canonical GR arena absorbs this solver's stats at
@@ -754,19 +767,21 @@ impl<'a> GrSolver<'a> {
             config,
             cond,
             arena,
-            states,
+            states: vec![Vec::new(); nf],
             ret_states: vec![PtrState::bottom(); nf],
+            settle: vec![0; nf],
             sweeps: 0,
             pool,
         }
     }
 
-    /// The condensation levels restricted to each weak component (one
-    /// entry per element of `components`, members sorted ascending):
-    /// the same level order the full sweep uses, with foreign SCCs
-    /// dropped and empty levels elided. Built in one pass over the
-    /// levels — `O(total SCCs)`, not per-component rescans — so
-    /// many-component modules stay linear.
+    /// The condensation levels restricted to each member list (one
+    /// entry per element of `components`, each a union of whole SCCs
+    /// — a weak component, or an input-closed subset of one): the same
+    /// level order the full sweep uses, with foreign SCCs dropped and
+    /// empty levels elided. Built in one pass over the levels —
+    /// `O(total SCCs)`, not per-list rescans — so many-component
+    /// modules stay linear.
     pub(crate) fn component_schedules(&self, components: &[Vec<FuncId>]) -> Vec<Vec<Vec<u32>>> {
         // SCC → component index, via any member function.
         let mut comp_of_fn = vec![u32::MAX; self.ctx.m.num_functions()];
@@ -783,7 +798,9 @@ impl<'a> GrSolver<'a> {
             for &scc in level {
                 let member = self.cond.members(scc)[0];
                 let k = comp_of_fn[member.index()];
-                debug_assert_ne!(k, u32::MAX, "every SCC belongs to a component");
+                if k == u32::MAX {
+                    continue;
+                }
                 let k = k as usize;
                 if last_level[k] == li as u32 {
                     schedules[k].last_mut().expect("level started").push(scc);
@@ -825,10 +842,14 @@ impl<'a> GrSolver<'a> {
         }
     }
 
-    /// Invariant seeds of one function: allocation sites, globals,
-    /// unknown sources.
+    /// Resets one function to its invariant seeds — allocation sites,
+    /// globals, unknown sources, ⊥ everywhere else — and clears its
+    /// return state and settle sweep.
     pub(crate) fn seed_function(&mut self, fid: FuncId) {
         let f = self.ctx.m.function(fid);
+        self.states[fid.index()] = vec![PtrState::bottom(); f.num_values()];
+        self.ret_states[fid.index()] = PtrState::bottom();
+        self.settle[fid.index()] = 0;
         for v in f.value_ids() {
             if f.value(v).ty() != Some(Ty::Ptr) {
                 continue;
@@ -875,7 +896,7 @@ impl<'a> GrSolver<'a> {
             // Alternate direction: bottom-up propagates returns to
             // callers in one sweep, top-down propagates actuals to
             // formals in one sweep.
-            let changed = self.sweep_levels(levels, widen, false, sweeps % 2 == 0);
+            let changed = self.sweep_levels(levels, widen, false, sweeps % 2 == 0, sweeps + 1);
             sweeps += 1;
             if !changed {
                 return (sweeps, false);
@@ -897,10 +918,10 @@ impl<'a> GrSolver<'a> {
     ) {
         if tripped {
             self.force_top_join_points(members);
-            self.sweep_levels(levels, false, false, true);
+            self.sweep_levels(levels, false, false, true, 0);
         }
         for step in 0..self.config.descending_steps {
-            if !self.sweep_levels(levels, false, true, step % 2 == 0) {
+            if !self.sweep_levels(levels, false, true, step % 2 == 0, 0) {
                 break;
             }
         }
@@ -912,8 +933,16 @@ impl<'a> GrSolver<'a> {
     /// concurrently (each interning into a private overlay, merged back
     /// in SCC order), which cannot change any result because same-level
     /// SCCs share no call edge and the overlay merge only translates
-    /// ids.
-    fn sweep_levels(&mut self, levels: &[Vec<u32>], widen: bool, descend: bool, up: bool) -> bool {
+    /// ids. A nonzero `record` is the (1-based) ascending sweep number,
+    /// stored as the settle sweep of every function the pass changed.
+    fn sweep_levels(
+        &mut self,
+        levels: &[Vec<u32>],
+        widen: bool,
+        descend: bool,
+        up: bool,
+        record: u32,
+    ) -> bool {
         let GrSolver {
             ctx,
             config,
@@ -921,6 +950,7 @@ impl<'a> GrSolver<'a> {
             arena,
             states,
             ret_states,
+            settle,
             pool,
             ..
         } = self;
@@ -942,7 +972,12 @@ impl<'a> GrSolver<'a> {
                 };
                 for &scc in level {
                     for &f in cond.members(scc) {
-                        changed |= ctx.sweep_function(&mut store, arena, f, widen, descend);
+                        if ctx.sweep_function(&mut store, arena, f, widen, descend) {
+                            changed = true;
+                            if record > 0 {
+                                settle[f.index()] = record;
+                            }
+                        }
                     }
                 }
                 continue;
@@ -982,10 +1017,13 @@ impl<'a> GrSolver<'a> {
                         global_states,
                         global_rets,
                     };
-                    let mut ch = false;
-                    for &f in cond.members(scc) {
-                        ch |= ctx.sweep_function(&mut store, &mut task_arena, f, widen, descend);
-                    }
+                    let ch: Vec<bool> = cond
+                        .members(scc)
+                        .iter()
+                        .map(|&f| {
+                            ctx.sweep_function(&mut store, &mut task_arena, f, widen, descend)
+                        })
+                        .collect();
                     (
                         scc,
                         store.local_states,
@@ -999,9 +1037,16 @@ impl<'a> GrSolver<'a> {
             // Merge overlays back in SCC order (results preserve item
             // order) — deterministic regardless of thread timing.
             for (scc, mut local_states, mut local_rets, ch, part) in results {
-                changed |= ch;
                 let xl = arena.adopt(part);
                 let members = cond.members(scc);
+                for (&f, &c) in members.iter().zip(&ch) {
+                    if c {
+                        changed = true;
+                        if record > 0 {
+                            settle[f.index()] = record;
+                        }
+                    }
+                }
                 for func in &mut local_states {
                     for s in func.iter_mut() {
                         remap_state(s, &xl);

@@ -48,6 +48,14 @@
 //! the 2-bit cells of the blocks and ⊤ rows. The loader validates the
 //! codes, the cell-store length against the block sizes and every
 //! padding bit, and recomputes the statistics from the blocks.
+//!
+//! Format version 4 adds a settle-sweep table to each GR component
+//! cache: per member, the last ascending sweep that changed its state
+//! (0 for none). A session re-solves only an edit's pointer-dataflow
+//! closure and recombines the component's sweep count from these, so
+//! a freshly loaded session needs them to edit incrementally. The
+//! loader checks the table's length against the members and its
+//! maximum against the component's sweep count.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -65,8 +73,9 @@ pub const SERVICE_MAGIC: [u8; 8] = *b"SRA1SERV";
 /// Version 2 added per-item length framing to the part, GR-state and
 /// matrix sections so loads can decode them in parallel. Version 3
 /// stores alias matrices block-diagonally: per-pointer block codes in
-/// place of the pointer universe, and no statistics.
-pub const FORMAT_VERSION: u32 = 3;
+/// place of the pointer universe, and no statistics. Version 4 adds
+/// per-member settle sweeps to the GR component caches.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Section tags, in stream order.
 pub(crate) mod tag {

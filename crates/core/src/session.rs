@@ -1,5 +1,5 @@
-//! Incremental re-analysis sessions: function-granularity updates with
-//! dirty-component invalidation over the call-graph condensation.
+//! Incremental re-analysis sessions: function-granularity updates that
+//! re-solve GR only over each edit's pointer-dataflow closure.
 //!
 //! [`AnalysisSession`] is the long-lived handle a server keeps per
 //! module: it owns the parsed [`Module`] plus *all* cached analysis
@@ -29,25 +29,37 @@
 //!   are **rebased**: their arenas are re-imported under a monotone
 //!   symbol renaming ([`sra_symbolic::ExprArena::import_range`]), which
 //!   commutes with the analysis, instead of re-analyzed.
-//! * **GR components** — interprocedural dataflow zig-zags along call
-//!   edges in both directions (returns up, actuals down), so the
-//!   region an edit can reach is the edited function's SCC plus every
-//!   SCC connected to it in either direction: its *weakly connected
-//!   component* of the call graph. The session re-seeds and re-solves
-//!   dirty components only (in the same alternating bottom-up/top-down
-//!   condensation order the scratch solver specs), re-verifying
-//!   convergence; components untouched by the edit keep their cached
-//!   fixpoint — their states are *imported* into the rebuild's fresh
-//!   canonical arena under the (monotone) symbol/location renaming the
-//!   edit induced, never re-solved. The one module-wide coupling is the
-//!   ascending cap: its trip flag is OR-ed across components, and a
-//!   cached component whose post phase ran under a different flag is
-//!   re-solved.
+//! * **GR closures** — GR is context-insensitive, and state crosses a
+//!   function boundary in exactly two ways: a pointer formal joins its
+//!   callers' actuals, and a pointer-typed call joins the callee's
+//!   returns (stores are ignored, loads are ⊤). So an edit reaches only
+//!   along the *pointer-dataflow graph* D — `c → t` when `c` calls `t`
+//!   and `t` has a pointer formal, `t → c` when `c` has a
+//!   pointer-typed call to `t`. Its seeds are the edited and added
+//!   functions, the old D-successors of replaced and removed ones, and
+//!   every member of an SCC whose membership changed (the only event
+//!   that can reorder reads within a sweep: call-adjacent functions in
+//!   different SCCs keep their relative order, because levels are
+//!   topological). The *re-solve set* is the seeds' D-successor closure
+//!   over old and new D, closed again under new-D predecessors and SCC
+//!   membership until nothing changes. It is input-closed, so sweeping
+//!   it alone on its weak component's schedule restricted to it
+//!   reproduces its scratch trajectory; every other function reads
+//!   nothing the edit influenced and keeps its cached fixpoint,
+//!   *imported* into the rebuild's fresh canonical arena under the
+//!   (monotone) symbol/location renaming the edit induced. The solver
+//!   records each function's last changing ascending sweep; a
+//!   component's sweep count is recombined as `max + 1` over re-solved
+//!   and cached values. A component is solved *whole* when its
+//!   membership changed, when the closure trips the ascending cap, when
+//!   its cache was finished under a tripped flag, or when the
+//!   module-wide trip flag (OR-ed across components) flips — which
+//!   also re-finishes untouched components.
 //! * **alias matrices** — a matrix caches verdicts only (no symbols,
 //!   no location ids), and verdicts are invariant under the monotone
 //!   renamings above; the matrix of an unedited function is reused
-//!   whenever its GR states are unchanged up to renaming, and rebuilt
-//!   otherwise.
+//!   outright when it was not re-solved, and otherwise whenever its GR
+//!   states are unchanged up to renaming.
 //!
 //! [`SessionStats`] counts what was reused vs recomputed, so tests can
 //! assert e.g. that a no-op replace dirties nothing.
@@ -82,7 +94,7 @@ use std::sync::Mutex;
 use sra_ir::callgraph::{CallGraph, Condensation};
 use sra_ir::cfg::Cfg;
 use sra_ir::verify::{verify_function, verify_module, VerifyError};
-use sra_ir::{FuncId, Function, Module, ValueId};
+use sra_ir::{Callee, FuncId, Function, Inst, Module, Ty, ValueId};
 use sra_range::{RangeAnalysis, RangePart};
 use sra_symbolic::{ExprArena, ImportMap, Symbol, TryImportMap};
 
@@ -178,7 +190,8 @@ pub struct SessionStats {
     /// Subset of [`SessionStats::parts_reused`] whose symbol-id block
     /// moved and was rebased by a monotone renaming.
     pub parts_rebased: usize,
-    /// Weak components whose GR fixpoint was re-solved from seeds.
+    /// Weak components whose GR fixpoint was re-solved from seeds,
+    /// wholly or in part (see [`SessionStats::gr_functions_solved`]).
     pub gr_components_solved: usize,
     /// Weak components whose cached GR fixpoint was fully reused.
     pub gr_components_reused: usize,
@@ -186,6 +199,13 @@ pub struct SessionStats {
     /// because the module-wide cap-trip flag changed (their cached
     /// fixpoint was finished under the other flag).
     pub gr_components_refinished: usize,
+    /// Functions whose GR states were re-solved from seeds: the
+    /// pointer-dataflow closure of each edit, or every member of a
+    /// component solved whole.
+    pub gr_functions_solved: usize,
+    /// Functions whose cached GR states were carried over (imported
+    /// under the edit's renaming, never re-swept).
+    pub gr_functions_reused: usize,
     /// Alias matrices rebuilt.
     pub matrices_rebuilt: usize,
     /// Alias matrices reused from cache.
@@ -200,6 +220,10 @@ pub struct SessionStats {
 struct CompCache {
     /// Member functions, sorted ascending (current id space).
     members: Vec<FuncId>,
+    /// Per member (aligned with `members`): the last ascending sweep
+    /// (1-based) that changed its state, 0 when none did. `sweeps` is
+    /// `max + 1`, or `max` when the component tripped the cap.
+    settle: Vec<u32>,
     /// Ascending sweeps the component's solo fixpoint took.
     sweeps: u32,
     /// Whether the component's own ascending loop hit the cap.
@@ -208,6 +232,94 @@ struct CompCache {
     /// (a later edit that flips it forces a re-solve of this
     /// component, because the post phase ran under the other flag).
     final_trip: bool,
+}
+
+/// How a rebuild treats one weak component's GR fixpoint.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    /// Membership matches a cache and no member was edited: carry the
+    /// cached fixpoint over.
+    Clean,
+    /// Re-solve only the edit's pointer-dataflow closure (the indexed
+    /// member subset) and carry the rest over.
+    Partial(usize),
+    /// Re-solve every member from seeds.
+    Whole,
+}
+
+/// Whether function `f` has a pointer formal (so it reads its callers'
+/// actuals).
+fn has_ptr_formal(m: &Module, f: usize) -> bool {
+    m.function(FuncId::new(f)).param_tys().contains(&Ty::Ptr)
+}
+
+/// The GR re-solve set of an edit, as a membership mask: the successor
+/// closure of `seeds` in the pointer-dataflow graph D (the functions
+/// whose fixpoint trajectory the edit can change), then closed under
+/// D-predecessors and SCC membership until nothing changes (so every
+/// state the set reads comes from the set). D has an edge `c → t` when
+/// `c` calls `t` and `t` has a pointer formal (`t` reads `c`'s
+/// actuals), and `t → c` when `c` has a pointer-typed call to `t` (`c`
+/// reads `t`'s return).
+fn dataflow_closure(
+    m: &Module,
+    graph: &CallGraph,
+    callers: &[Vec<gr::CallSite>],
+    cond: &Condensation,
+    seeds: &[usize],
+) -> Vec<bool> {
+    let nf = m.num_functions();
+    fn push(x: usize, in_set: &mut [bool], reached: &mut Vec<usize>) {
+        if !in_set[x] {
+            in_set[x] = true;
+            reached.push(x);
+        }
+    }
+    let mut in_set = vec![false; nf];
+    let mut reached: Vec<usize> = Vec::new();
+    for &e in seeds {
+        push(e, &mut in_set, &mut reached);
+    }
+    let mut next = 0;
+    while next < reached.len() {
+        let x = reached[next];
+        next += 1;
+        for t in graph.callees(FuncId::new(x)) {
+            if has_ptr_formal(m, t.index()) {
+                push(t.index(), &mut in_set, &mut reached);
+            }
+        }
+        for site in callers[x].iter().filter(|s| s.ptr_result) {
+            push(site.caller.index(), &mut in_set, &mut reached);
+        }
+    }
+    // Inputs and SCC mates of everything reached so far, transitively.
+    next = 0;
+    while next < reached.len() {
+        let y = reached[next];
+        next += 1;
+        for f in cond.members(cond.scc_of(FuncId::new(y))) {
+            push(f.index(), &mut in_set, &mut reached);
+        }
+        if has_ptr_formal(m, y) {
+            for site in &callers[y] {
+                push(site.caller.index(), &mut in_set, &mut reached);
+            }
+        }
+        let f = m.function(FuncId::new(y));
+        for (_, v) in f.insts() {
+            if let Some(Inst::Call {
+                callee: Callee::Internal(t),
+                ..
+            }) = f.value(v).as_inst()
+            {
+                if f.value(v).ty() == Some(Ty::Ptr) && t.index() < nf {
+                    push(t.index(), &mut in_set, &mut reached);
+                }
+            }
+        }
+    }
+    in_set
 }
 
 /// A long-lived analysis handle over one module; see the module docs.
@@ -222,8 +334,14 @@ pub struct AnalysisSession {
     lr_parts: Vec<LrPart>,
     cfgs: Vec<Cfg>,
     callgraph: CallGraph,
+    /// The SCC condensation of `callgraph` (the previous one, during a
+    /// rebuild: SCC membership changes seed the re-solve set).
+    cond: Condensation,
     /// GR fixpoints per weak component.
     components: Vec<CompCache>,
+    /// The functions whose GR states the most recent rebuild re-solved
+    /// (ascending).
+    gr_solved: Vec<FuncId>,
     /// The assembled whole-module analysis (byte-identical to scratch).
     rbaa: RbaaAnalysis,
     /// Per-function matrices behind [`std::sync::Arc`]s so a
@@ -253,7 +371,9 @@ impl Clone for AnalysisSession {
             lr_parts: self.lr_parts.clone(),
             cfgs: self.cfgs.clone(),
             callgraph: self.callgraph.clone(),
+            cond: self.cond.clone(),
             components: self.components.clone(),
+            gr_solved: self.gr_solved.clone(),
             rbaa: self.rbaa.clone(),
             matrices: self.matrices.clone(),
             // The demand cache is pure memoisation — the fork regrows
@@ -403,6 +523,7 @@ impl AnalysisSession {
         verify_module(&module)?;
         let nf = module.num_functions();
         let callgraph = CallGraph::build(&module);
+        let cond = Condensation::build(&callgraph);
         let cfgs = gr::build_cfgs(&module);
         // Placeholder analysis state; the initial rebuild treats every
         // function as edited and fills all caches.
@@ -423,7 +544,9 @@ impl AnalysisSession {
             lr_parts: Vec::new(),
             cfgs,
             callgraph,
+            cond,
             components: Vec::new(),
+            gr_solved: Vec::new(),
             rbaa,
             matrices: Vec::new(),
             demand: Mutex::new(None),
@@ -432,7 +555,7 @@ impl AnalysisSession {
             stats: SessionStats::default(),
         };
         let all: Vec<usize> = (0..nf).collect();
-        session.rebuild(&all, &[]);
+        session.rebuild(&all, &[], &[]);
         session.stats = SessionStats::default();
         Ok(session)
     }
@@ -506,6 +629,15 @@ impl AnalysisSession {
     /// Reuse/recompute counters accumulated over all updates.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
+    }
+
+    /// The functions whose GR states the most recent rebuild re-solved
+    /// from seeds, ascending: every function of a component solved
+    /// whole, and only the pointer-dataflow closure of the edit in a
+    /// component re-solved in part (see the module docs). Empty after
+    /// a no-op edit and right after [`AnalysisSession::load`].
+    pub fn gr_solved_functions(&self) -> &[FuncId] {
+        &self.gr_solved
     }
 
     /// Wall-clock attribution of the most recent rebuild (or, right
@@ -614,6 +746,8 @@ impl AnalysisSession {
             self.stats.parts_reused += self.module.num_functions();
             self.stats.matrices_reused += self.module.num_functions();
             self.stats.gr_components_reused += self.components.len();
+            self.stats.gr_functions_reused += self.module.num_functions();
+            self.gr_solved.clear();
             return Ok(());
         }
         let signature_changed = self.module.function(f).param_tys() != body.param_tys()
@@ -637,10 +771,16 @@ impl AnalysisSession {
             self.module.replace_function(f, old);
             return Err(e.into());
         }
+        let old_callees: Vec<usize> = self
+            .callgraph
+            .callees(f)
+            .iter()
+            .map(|t| t.index())
+            .collect();
         self.callgraph
             .replace_function_edges(f, self.module.function(f));
         self.cfgs[f.index()] = Cfg::new(self.module.function(f));
-        self.rebuild(&[f.index()], &[]);
+        self.rebuild(&[f.index()], &[], &old_callees);
         self.stats.edits += 1;
         Ok(())
     }
@@ -654,7 +794,7 @@ impl AnalysisSession {
         }
         self.callgraph.push_function(self.module.function(f));
         self.cfgs.push(Cfg::new(self.module.function(f)));
-        self.rebuild(&[f.index()], &[]);
+        self.rebuild(&[f.index()], &[], &[]);
         self.stats.edits += 1;
         Ok(f)
     }
@@ -679,6 +819,16 @@ impl AnalysisSession {
             return Err(err.into());
         }
         let gone = f.index();
+        let old_callees: Vec<usize> = self
+            .callgraph
+            .callees(f)
+            .iter()
+            .filter_map(|t| match t.index() {
+                t if t == gone => None,
+                t if t > gone => Some(t - 1),
+                t => Some(t),
+            })
+            .collect();
         self.module.remove_function(f);
         self.callgraph.remove_function(f);
         self.cfgs.remove(gone);
@@ -701,7 +851,7 @@ impl AnalysisSession {
             }
             true
         });
-        self.rebuild(&[], &[gone]);
+        self.rebuild(&[], &[gone], &old_callees);
         self.stats.edits += 1;
         Ok(())
     }
@@ -793,6 +943,8 @@ impl AnalysisSession {
             self.stats.parts_reused += nf;
             self.stats.matrices_reused += nf;
             self.stats.gr_components_reused += self.components.len();
+            self.stats.gr_functions_reused += nf;
+            self.gr_solved.clear();
             return Ok(Vec::new());
         }
         // Verify the would-be final module on a scratch clone before
@@ -812,6 +964,16 @@ impl AnalysisSession {
             verify_module(&probe)?;
         }
         // Commit. Mirrors the single-edit paths; cannot fail past here.
+        // The old callees of every replaced or removed function, in the
+        // post-batch id space, seed the GR re-solve set.
+        let old_callees: Vec<usize> = replaces
+            .iter()
+            .map(|(f, _)| *f)
+            .chain(removed_ids.iter().copied())
+            .flat_map(|f| self.callgraph.callees(f))
+            .filter(|t| removes.binary_search(&t.index()).is_err())
+            .map(|t| t.index() - removes.partition_point(|&r| r < t.index()))
+            .collect();
         let mut edited: Vec<usize> = Vec::new();
         let mut touched: Vec<FuncId> = Vec::new();
         for (f, body) in replaces {
@@ -865,7 +1027,7 @@ impl AnalysisSession {
         let added_ids: Vec<FuncId> = (new_nf - num_adds..new_nf).map(FuncId::new).collect();
         edited.extend(added_ids.iter().map(|f| f.index()));
         edited.sort_unstable();
-        self.rebuild(&edited, &removes);
+        self.rebuild(&edited, &removes, &old_callees);
         self.stats.edits += 1;
         Ok(added_ids)
     }
@@ -916,6 +1078,7 @@ impl AnalysisSession {
                 fresh.stats.edits += 1;
                 fresh.stats.parts_reanalyzed += new_nf;
                 fresh.stats.gr_components_solved += fresh.components.len();
+                fresh.stats.gr_functions_solved += new_nf;
                 if fresh.config.query_mode == QueryMode::Matrix {
                     fresh.stats.matrices_rebuilt += new_nf;
                 }
@@ -925,11 +1088,60 @@ impl AnalysisSession {
         }
     }
 
+    /// The seeds of an edit's GR re-solve set (see the module docs):
+    /// the edited and added functions, the old callees of replaced and
+    /// removed functions that read pointer actuals, and every member,
+    /// before and after, of an SCC whose membership changed. Runs
+    /// while `self.cond` still holds the pre-update condensation;
+    /// `cond` is the new one and `old_of` maps current ids to old ones.
+    fn closure_seeds(
+        &self,
+        cond: &Condensation,
+        edited: &[usize],
+        removed: &[usize],
+        old_callees: &[usize],
+        old_of: &[usize],
+    ) -> Vec<usize> {
+        let m = &self.module;
+        let old_scc = |old: usize| -> Vec<usize> {
+            let members = self.cond.members(self.cond.scc_of(FuncId::new(old)));
+            members
+                .iter()
+                .filter(|f| removed.binary_search(&f.index()).is_err())
+                .map(|f| f.index() - removed.partition_point(|&r| r < f.index()))
+                .collect()
+        };
+        let mut seeds: Vec<usize> = edited.to_vec();
+        seeds.extend(
+            old_callees
+                .iter()
+                .copied()
+                .filter(|&t| has_ptr_formal(m, t)),
+        );
+        for &i in edited {
+            if old_of[i] >= self.cond.num_functions() {
+                continue; // added: no old SCC
+            }
+            let before = old_scc(old_of[i]);
+            let after = cond.members(cond.scc_of(FuncId::new(i)));
+            if !before.iter().copied().eq(after.iter().map(|f| f.index())) {
+                seeds.extend(before);
+                seeds.extend(after.iter().map(|f| f.index()));
+            }
+        }
+        for &r in removed {
+            seeds.extend(old_scc(r));
+        }
+        seeds
+    }
+
     /// Recomputes the analysis after a structural update. `edited`
     /// holds the current-id indices of replaced/added functions;
     /// `removed` the (sorted, pre-batch) old indices removals vacated
-    /// (for the id-shift remaps of cached state).
-    fn rebuild(&mut self, edited: &[usize], removed: &[usize]) {
+    /// (for the id-shift remaps of cached state); `old_callees` the
+    /// pre-update internal callees of replaced and removed functions,
+    /// in current ids (seeds of the GR re-solve set).
+    fn rebuild(&mut self, edited: &[usize], removed: &[usize], old_callees: &[usize]) {
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
         let nf = self.module.num_functions();
         let is_edited = |i: usize| edited.contains(&i);
@@ -1078,7 +1290,7 @@ impl AnalysisSession {
         // the fresh canonical arena under `map_symbol`/`map_loc`.
         let old_gr_arena = self.rbaa.gr().arena_arc();
 
-        // -- 3. GR: re-solve dirty components, carry over the rest. ---
+        // -- 3. GR: re-solve what the edit can reach, carry the rest. --
         let callers = gr::build_callers(m);
         let graph = &self.callgraph;
         let cond = Condensation::build(graph);
@@ -1088,47 +1300,113 @@ impl AnalysisSession {
             ..config.gr
         };
         let mut solver = GrSolver::new(
-            m, &ranges, &locs, gr_config, &callers, &self.cfgs, cond, &self.pool,
+            m, &ranges, &locs, gr_config, &callers, &self.cfgs, &cond, &self.pool,
         );
 
-        // Pair each new component with a clean cache when membership
-        // matches exactly and no member was edited.
+        // Pair each new component with the cache of identical
+        // membership, if any. A paired component without edited
+        // members is clean; one with edited members re-solves only the
+        // edit's pointer-dataflow closure, unless its cached fixpoint
+        // was finished under a tripped cap.
         let mut old_caches: Vec<Option<CompCache>> = std::mem::take(&mut self.components)
             .into_iter()
             .map(Some)
             .collect();
-        let mut matched: Vec<Option<CompCache>> = new_components
+        let matched: Vec<Option<CompCache>> = new_components
             .iter()
             .map(|members| {
-                if members.iter().any(|f| is_edited(f.index())) {
-                    return None;
-                }
                 let slot = old_caches
                     .iter_mut()
                     .find(|c| c.as_ref().is_some_and(|c| &c.members == members))?;
                 slot.take()
             })
             .collect();
-
-        // Phase 1: ascend dirty components; clean components contribute
-        // their cached cap metadata without any sweeping.
+        let edited_member = |members: &[FuncId]| members.iter().any(|f| is_edited(f.index()));
+        let partial_candidate = |members: &[FuncId], cache: &Option<CompCache>| {
+            cache.as_ref().is_some_and(|c| !c.final_trip) && edited_member(members)
+        };
+        let in_closure: Vec<bool> = if new_components
+            .iter()
+            .zip(&matched)
+            .any(|(members, cache)| partial_candidate(members, cache))
+        {
+            let seeds = self.closure_seeds(&cond, edited, removed, old_callees, &old_of);
+            dataflow_closure(m, graph, &callers, &cond, &seeds)
+        } else {
+            Vec::new()
+        };
+        let mut subsets: Vec<Vec<FuncId>> = Vec::new();
+        let mut plans: Vec<Plan> = new_components
+            .iter()
+            .zip(&matched)
+            .map(|(members, cache)| {
+                if cache.is_some() && !edited_member(members) {
+                    return Plan::Clean;
+                }
+                if !partial_candidate(members, cache) {
+                    return Plan::Whole;
+                }
+                let subset: Vec<FuncId> = members
+                    .iter()
+                    .copied()
+                    .filter(|f| in_closure[f.index()])
+                    .collect();
+                if subset.len() == members.len() {
+                    return Plan::Whole;
+                }
+                subsets.push(subset);
+                Plan::Partial(subsets.len() - 1)
+            })
+            .collect();
         let schedules = solver.component_schedules(&new_components);
+        let subset_schedules = solver.component_schedules(&subsets);
+
+        // Phase 1: ascend. Clean components contribute their cached
+        // cap metadata without any sweeping; a partly re-solved one
+        // recombines its settle sweeps from the closure's fresh ones and
+        // the rest's cached ones. A closure that hits the cap falls
+        // back to solving its component whole.
         let mut trip = false;
         let mut max_sweeps = 1u32;
-        let mut ascent: Vec<(u32, bool)> = Vec::with_capacity(new_components.len());
+        let mut ascent: Vec<(Vec<u32>, u32, bool)> = Vec::with_capacity(new_components.len());
         for (k, members) in new_components.iter().enumerate() {
-            let (sweeps, tripped) = match &matched[k] {
-                Some(cache) => (cache.sweeps, cache.tripped),
-                None => {
+            if let Plan::Partial(j) = plans[k] {
+                for &f in &subsets[j] {
+                    solver.seed_function(f);
+                }
+                if solver.ascend_component(&subset_schedules[j]).1 {
+                    plans[k] = Plan::Whole;
+                }
+            }
+            let (settle, sweeps, tripped) = match (&plans[k], &matched[k]) {
+                (Plan::Clean, Some(cache)) => (cache.settle.clone(), cache.sweeps, cache.tripped),
+                (Plan::Partial(_), Some(cache)) => {
+                    let settle: Vec<u32> = members
+                        .iter()
+                        .zip(&cache.settle)
+                        .map(|(f, &cached)| {
+                            if in_closure[f.index()] {
+                                solver.settle[f.index()]
+                            } else {
+                                cached
+                            }
+                        })
+                        .collect();
+                    let sweeps = settle.iter().max().copied().unwrap_or(0) + 1;
+                    (settle, sweeps, false)
+                }
+                _ => {
                     for &f in members {
                         solver.seed_function(f);
                     }
-                    solver.ascend_component(&schedules[k])
+                    let (sweeps, tripped) = solver.ascend_component(&schedules[k]);
+                    let settle = members.iter().map(|f| solver.settle[f.index()]).collect();
+                    (settle, sweeps, tripped)
                 }
             };
             trip |= tripped;
             max_sweeps = max_sweeps.max(sweeps);
-            ascent.push((sweeps, tripped));
+            ascent.push((settle, sweeps, tripped));
         }
 
         // Phase 2: finish every component under the shared trip flag.
@@ -1139,42 +1417,72 @@ impl AnalysisSession {
         const CLEAN: u8 = 1;
         let mut disposition: Vec<u8> = vec![DIRTY; nf];
         let mut new_caches: Vec<CompCache> = Vec::with_capacity(new_components.len());
-        for (k, members) in new_components.iter().enumerate() {
-            let (sweeps, tripped) = ascent[k];
-            match matched[k].take() {
-                Some(cache) if cache.final_trip == trip => {
+        for (k, (settle, sweeps, tripped)) in ascent.into_iter().enumerate() {
+            let members = &new_components[k];
+            let cached_trip = matched[k].as_ref().map(|c| c.final_trip);
+            match plans[k] {
+                Plan::Clean if cached_trip == Some(trip) => {
                     for &f in members {
                         disposition[f.index()] = CLEAN;
                     }
                     self.stats.gr_components_reused += 1;
-                    new_caches.push(cache);
-                    continue;
+                    self.stats.gr_functions_reused += members.len();
                 }
-                Some(_) => {
+                Plan::Partial(j) if !trip => {
+                    solver.finish_component(&subset_schedules[j], &subsets[j], false);
+                    for &f in members {
+                        if !in_closure[f.index()] {
+                            disposition[f.index()] = CLEAN;
+                        }
+                    }
+                    self.stats.gr_components_solved += 1;
+                    self.stats.gr_functions_solved += subsets[j].len();
+                    self.stats.gr_functions_reused += members.len() - subsets[j].len();
+                }
+                Plan::Whole => {
+                    solver.finish_component(&schedules[k], members, trip);
+                    self.stats.gr_components_solved += 1;
+                    self.stats.gr_functions_solved += members.len();
+                }
+                plan => {
                     // The module-wide cap verdict changed: the cached
-                    // fixpoint was finished under the other flag, so
-                    // re-solve this (rare) component from seeds.
+                    // fixpoint (or the closure's, had it been finished)
+                    // was finished under the other flag, so re-solve
+                    // this (rare) component whole from seeds.
                     for &f in members {
                         solver.seed_function(f);
                     }
                     let redo = solver.ascend_component(&schedules[k]);
                     debug_assert_eq!(redo, (sweeps, tripped), "ascent is context-free");
+                    debug_assert!(
+                        members
+                            .iter()
+                            .zip(&settle)
+                            .all(|(f, &s)| solver.settle[f.index()] == s),
+                        "recombined settle sweeps match a whole ascent"
+                    );
                     solver.finish_component(&schedules[k], members, trip);
-                    self.stats.gr_components_refinished += 1;
-                }
-                None => {
-                    solver.finish_component(&schedules[k], members, trip);
-                    self.stats.gr_components_solved += 1;
+                    if matches!(plan, Plan::Clean) {
+                        self.stats.gr_components_refinished += 1;
+                    } else {
+                        self.stats.gr_components_solved += 1;
+                    }
+                    self.stats.gr_functions_solved += members.len();
                 }
             }
             new_caches.push(CompCache {
                 members: members.clone(),
+                settle,
                 sweeps,
                 tripped,
                 final_trip: trip,
             });
         }
         self.components = new_caches;
+        self.gr_solved = (0..nf)
+            .filter(|&i| disposition[i] == DIRTY)
+            .map(FuncId::new)
+            .collect();
 
         // Assemble the per-function state vectors into one fresh
         // canonical arena, in function order — the exact import a
@@ -1187,6 +1495,7 @@ impl AnalysisSession {
         let solver_states = std::mem::take(&mut solver.states);
         let solver_arena = std::mem::take(&mut solver.arena);
         drop(solver);
+        self.cond = cond;
         let mut gr_arena = ExprArena::new();
         let mut dirty_map = ImportMap::default();
         let mut clean_map = TryImportMap::default();
@@ -1242,10 +1551,10 @@ impl AnalysisSession {
         let gr_ns = ns_since(t_gr);
         let t_matrices = std::time::Instant::now();
 
-        // -- 4. Matrix invalidation: a clean-component function keeps --
+        // -- 4. Matrix invalidation: a function not re-solved keeps ---
         // its matrix outright (verdicts are invariant under the
-        // monotone renamings); a dirty-component one keeps it iff its
-        // GR states came out unchanged up to the renaming. The
+        // monotone renamings); a re-solved one keeps it iff its GR
+        // states came out unchanged up to the renaming. The
         // comparison walks old and new arena nodes in lockstep
         // (`range_eq_mapped`), materializing nothing; unmappable old
         // symbols land on an out-of-range sentinel that can never
@@ -1401,6 +1710,10 @@ impl AnalysisSession {
             for &f in &c.members {
                 enc.u32(f.index() as u32);
             }
+            enc.usize(c.settle.len());
+            for &s in &c.settle {
+                enc.u32(s);
+            }
             enc.u32(c.sweeps);
             enc.bool(c.tripped);
             enc.bool(c.final_trip);
@@ -1437,6 +1750,8 @@ impl AnalysisSession {
             s.gr_components_refinished,
             s.matrices_rebuilt,
             s.matrices_reused,
+            s.gr_functions_solved,
+            s.gr_functions_reused,
         ] {
             enc.usize(v);
         }
@@ -1596,12 +1911,30 @@ impl AnalysisSession {
                 prev = Some(f);
                 members.push(FuncId::new(f));
             }
-            components.push(CompCache {
+            if dec.len(4)? != n_members {
+                return Err(persist::corrupt(
+                    "component settle table does not match its members",
+                ));
+            }
+            let settle = (0..n_members)
+                .map(|_| dec.u32())
+                .collect::<Result<Vec<u32>, _>>()?;
+            let cache = CompCache {
                 members,
+                settle,
                 sweeps: dec.u32()?,
                 tripped: dec.bool()?,
                 final_trip: dec.bool()?,
-            });
+            };
+            // The last change lands on the last sweep of a capped
+            // ascent, and one sweep before the end of a converged one.
+            let last = cache.settle.iter().max().copied().unwrap_or(0);
+            if last.checked_add(u32::from(!cache.tripped)) != Some(cache.sweeps) {
+                return Err(persist::corrupt(
+                    "component settle sweeps do not match its sweep count",
+                ));
+            }
+            components.push(cache);
         }
         dec.finish()?;
 
@@ -1662,6 +1995,8 @@ impl AnalysisSession {
             gr_components_refinished: dec.usize()?,
             matrices_rebuilt: dec.usize()?,
             matrices_reused: dec.usize()?,
+            gr_functions_solved: dec.usize()?,
+            gr_functions_reused: dec.usize()?,
         };
         dec.finish()?;
 
@@ -1669,6 +2004,7 @@ impl AnalysisSession {
         persist::Dec::new(&buf).finish()?;
 
         let cfgs = gr::build_cfgs(&module);
+        let cond = Condensation::build(&callgraph);
         let session = AnalysisSession {
             module,
             config,
@@ -1676,7 +2012,9 @@ impl AnalysisSession {
             lr_parts,
             cfgs,
             callgraph,
+            cond,
             components,
+            gr_solved: Vec::new(),
             rbaa,
             matrices,
             demand: Mutex::new(demand),
@@ -2204,6 +2542,295 @@ mod tests {
         session
             .replace_function(FuncId::new(1), chain_body("f1", 1, 2, true, 1))
             .expect("valid edit");
+        assert_matches_scratch(&session);
+    }
+
+    /// A leaf `leaf{i}(p: ptr, n: int)` whose body writes through its
+    /// formal and calls `ptr_callees` with a derived pointer and
+    /// `int_callees` with its integer.
+    fn flat_leaf(i: usize, ptr_callees: &[usize], int_callees: &[usize]) -> Function {
+        let mut b = FunctionBuilder::new(&format!("leaf{i}"), &[Ty::Ptr, Ty::Int], None);
+        let p = b.param(0);
+        let n = b.param(1);
+        let one = b.const_int(1);
+        let q = b.ptr_add(p, one);
+        b.store(q, n);
+        for &t in ptr_callees {
+            let _ = b.call(Callee::Internal(FuncId::new(t)), &[q, n], None);
+        }
+        for &t in int_callees {
+            let _ = b.call(Callee::Internal(FuncId::new(t)), &[n], Some(Ty::Int));
+        }
+        b.ret(None);
+        b.finish()
+    }
+
+    /// `generate_module`'s shape in miniature: `leaves` pointer leaves
+    /// (ids `0..leaves`), an int-only helper `ints(n) -> int` that
+    /// allocates locally (id `leaves`), and an exported `main` (last)
+    /// calling every leaf with a fresh buffer and the helper with an
+    /// integer. One weak component.
+    fn flat_module(leaves: usize) -> Module {
+        let mut m = Module::new();
+        for i in 0..leaves {
+            m.add_function(flat_leaf(i, &[], &[]));
+        }
+        let mut b = FunctionBuilder::new("ints", &[Ty::Int], Some(Ty::Int));
+        let n = b.param(0);
+        let buf = b.malloc(n);
+        let two = b.const_int(2);
+        let at = b.ptr_add(buf, two);
+        b.store(at, n);
+        b.ret(Some(n));
+        m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("main", &[], Some(Ty::Int));
+        let n = b.call(Callee::External("atoi".into()), &[], Some(Ty::Int));
+        for i in 0..leaves {
+            let sz = b.const_int(64);
+            let buf = b.malloc(sz);
+            let _ = b.call(Callee::Internal(FuncId::new(i)), &[buf, n], None);
+        }
+        let k = b.call(Callee::Internal(FuncId::new(leaves)), &[n], Some(Ty::Int));
+        b.ret(Some(k));
+        let mut main = b.finish();
+        main.set_exported(true);
+        m.add_function(main);
+        sra_ir::verify::verify_module(&m).expect("flat module verifies");
+        m
+    }
+
+    fn fids(ids: &[usize]) -> Vec<FuncId> {
+        ids.iter().map(|&i| FuncId::new(i)).collect()
+    }
+
+    /// A flat leaf edit re-solves exactly the edited leaf, `main` (its
+    /// only input) and the leaves the new body passes a pointer to —
+    /// not the int-only helper it also calls, and not the rest of the
+    /// component. Dropping a pointer call still re-solves the old
+    /// callee, whose formal lost an actual.
+    #[test]
+    fn flat_leaf_edit_resolves_its_dataflow_closure() {
+        let m = flat_module(8);
+        let (ints, main) = (8, 9);
+        let mut session =
+            AnalysisSession::with_config(m, DriverConfig::with_threads(2)).expect("verifies");
+        assert_eq!(session.components.len(), 1, "one weak component");
+
+        session
+            .replace_function(FuncId::new(1), flat_leaf(1, &[4, 6], &[ints]))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[1, 4, 6, main]));
+        assert_matches_scratch(&session);
+        let stats = *session.stats();
+        assert_eq!(stats.gr_components_solved, 1, "a partial re-solve counts");
+        assert_eq!(stats.gr_functions_solved, 4);
+        assert_eq!(stats.gr_functions_reused, 10 - 4);
+
+        // Drop the call to leaf4: its formal no longer joins leaf1's
+        // actual, so it is re-solved although nothing calls it anew.
+        session
+            .replace_function(FuncId::new(1), flat_leaf(1, &[6], &[]))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[1, 4, 6, main]));
+        assert_matches_scratch(&session);
+
+        // A body with no calls at all: the old callee still counts.
+        session
+            .replace_function(FuncId::new(1), flat_leaf(1, &[], &[]))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[1, 6, main]));
+        assert_matches_scratch(&session);
+
+        // The same holds on a loaded session (the settle sweeps are
+        // persisted), which is what a warm-started server edits.
+        let mut bytes = Vec::new();
+        session.save(&mut bytes).expect("saves");
+        let mut loaded = AnalysisSession::load(&mut bytes.as_slice()).expect("loads");
+        loaded
+            .replace_function(FuncId::new(3), flat_leaf(3, &[2], &[]))
+            .expect("valid edit");
+        assert_eq!(loaded.gr_solved_functions(), fids(&[2, 3, main]));
+        assert_matches_scratch(&loaded);
+    }
+
+    /// `a(n) -> int` and `b(n) -> int` allocate locally and pass only
+    /// integers; an edit that makes `b` call `a` back merges them into
+    /// one SCC. No pointer flows between them, but the merge reorders
+    /// their sweeps, so `a` joins the re-solve set with `b` — and
+    /// nothing else of the component does. Splitting them again
+    /// re-solves both once more.
+    #[test]
+    fn scc_merge_resolves_every_member() {
+        let int_fn = |name: &str, callee: Option<usize>, offset: i64| {
+            let mut b = FunctionBuilder::new(name, &[Ty::Int], Some(Ty::Int));
+            let n = b.param(0);
+            let buf = b.malloc(n);
+            let one = b.const_int(offset);
+            let at = b.ptr_add(buf, one);
+            b.store(at, n);
+            let r = match callee {
+                Some(t) => b.call(Callee::Internal(FuncId::new(t)), &[n], Some(Ty::Int)),
+                None => n,
+            };
+            b.ret(Some(r));
+            b.finish()
+        };
+        let mut m = Module::new();
+        m.add_function(int_fn("a", Some(1), 1));
+        m.add_function(int_fn("b", None, 1));
+        m.add_function(flat_leaf(2, &[], &[]));
+        let mut b = FunctionBuilder::new("main", &[], None);
+        let n = b.call(Callee::External("atoi".into()), &[], Some(Ty::Int));
+        let sz = b.const_int(16);
+        let buf = b.malloc(sz);
+        let _ = b.call(Callee::Internal(FuncId::new(0)), &[n], Some(Ty::Int));
+        let _ = b.call(Callee::Internal(FuncId::new(2)), &[buf, n], None);
+        b.ret(None);
+        m.add_function(b.finish());
+        let mut session =
+            AnalysisSession::with_config(m, AnalysisConfig::default()).expect("verifies");
+
+        session
+            .replace_function(FuncId::new(1), int_fn("b", Some(0), 1))
+            .expect("valid edit");
+        let cond = Condensation::of_module(session.module());
+        assert!(cond.is_recursive(cond.scc_of(FuncId::new(0))), "merged");
+        assert_eq!(session.gr_solved_functions(), fids(&[0, 1]));
+        assert_matches_scratch(&session);
+
+        session
+            .replace_function(FuncId::new(1), int_fn("b", None, 1))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[0, 1]));
+        assert_matches_scratch(&session);
+
+        // With SCCs unchanged, `a`'s edit re-solves only `a`.
+        session
+            .replace_function(FuncId::new(0), int_fn("a", Some(1), 2))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[0]));
+        assert_matches_scratch(&session);
+    }
+
+    /// When an edit's closure trips the ascending cap, its component is
+    /// solved whole (the cap forcing reaches every member), and the
+    /// flipped module-wide flag re-finishes an untouched component.
+    /// Undoing the edit solves the component whole again: its cached
+    /// fixpoint was finished under the tripped flag. A closure that
+    /// converged is also solved whole when another component trips the
+    /// cap in the same rebuild.
+    #[test]
+    fn closure_hitting_the_cap_solves_its_component_whole() {
+        let mut m = Module::new();
+        m.add_function(chain_body("f0", 0, 2, false, 1));
+        m.add_function(chain_body("f1", 1, 2, false, 1));
+        let mut b = FunctionBuilder::new("ints", &[Ty::Int], Some(Ty::Int));
+        let n = b.param(0);
+        let buf = b.malloc(n);
+        let at = b.ptr_add(buf, n);
+        b.store(at, n);
+        b.ret(Some(n));
+        m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("main_a", &[], None);
+        let sz = b.const_int(64);
+        let buf = b.malloc(sz);
+        let _ = b.call(Callee::Internal(FuncId::new(0)), &[buf], Some(Ty::Ptr));
+        let _ = b.call(Callee::Internal(FuncId::new(2)), &[sz], Some(Ty::Int));
+        b.ret(None);
+        m.add_function(b.finish());
+        // An independent component: `main_b` feeding two leaves.
+        let leaf4 = |offset: i64| {
+            let mut b = FunctionBuilder::new("leaf4", &[Ty::Ptr, Ty::Int], None);
+            let p = b.param(0);
+            let n = b.param(1);
+            let off = b.const_int(offset);
+            let q = b.ptr_add(p, off);
+            b.store(q, n);
+            b.ret(None);
+            b.finish()
+        };
+        m.add_function(leaf4(1));
+        m.add_function(flat_leaf(5, &[], &[]));
+        let mut b = FunctionBuilder::new("main_b", &[], None);
+        let sz = b.const_int(32);
+        for leaf in [4, 5] {
+            let buf = b.malloc(sz);
+            let _ = b.call(Callee::Internal(FuncId::new(leaf)), &[buf, sz], None);
+        }
+        b.ret(None);
+        m.add_function(b.finish());
+        sra_ir::verify::verify_module(&m).expect("verifies");
+        let config = DriverConfig {
+            threads: 1,
+            gr: GrConfig {
+                widening: false,
+                max_ascending_sweeps: 8,
+                ..GrConfig::default()
+            },
+            ..DriverConfig::with_threads(1)
+        };
+        let mut session = AnalysisSession::with_config(m, config).expect("verifies");
+        assert_eq!(session.components.len(), 2);
+        let all = fids(&[0, 1, 2, 3, 4, 5, 6]);
+
+        // A plain edit inside the chain re-solves its closure only.
+        session
+            .replace_function(FuncId::new(1), chain_body("f1", 1, 2, false, 2))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[0, 1, 3]));
+        assert_matches_scratch(&session);
+
+        // Close the ring: the closure churns past the cap.
+        let before = *session.stats();
+        session
+            .replace_function(FuncId::new(1), chain_body("f1", 1, 2, true, 1))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), all);
+        assert_eq!(
+            session.stats().gr_components_refinished,
+            before.gr_components_refinished + 1,
+            "the independent component re-ran its post phase"
+        );
+        assert_matches_scratch(&session);
+
+        // Cut it again: the ring's component was finished tripped.
+        session
+            .replace_function(FuncId::new(1), chain_body("f1", 1, 2, false, 1))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), all);
+        assert_matches_scratch(&session);
+
+        // Alone, a leaf edit re-solves the leaf and its input.
+        session
+            .replace_function(FuncId::new(4), leaf4(2))
+            .expect("valid edit");
+        assert_eq!(session.gr_solved_functions(), fids(&[4, 6]));
+        assert_matches_scratch(&session);
+
+        // Batched with closing the ring, its converged closure must be
+        // finished under the tripped flag: the whole component is.
+        let before = *session.stats();
+        session
+            .apply_edits(vec![
+                SessionEdit::Replace {
+                    func: FuncId::new(1),
+                    body: chain_body("f1", 1, 2, true, 1),
+                },
+                SessionEdit::Replace {
+                    func: FuncId::new(4),
+                    body: leaf4(3),
+                },
+            ])
+            .expect("valid batch");
+        assert_eq!(session.gr_solved_functions(), all);
+        assert_eq!(
+            session.stats().gr_components_solved,
+            before.gr_components_solved + 2
+        );
+        assert_eq!(
+            session.stats().gr_components_refinished,
+            before.gr_components_refinished
+        );
         assert_matches_scratch(&session);
     }
 

@@ -335,6 +335,11 @@ impl Condensation {
         }
     }
 
+    /// Number of functions (nodes of the condensed graph).
+    pub fn num_functions(&self) -> usize {
+        self.scc_of.len()
+    }
+
     /// Number of SCCs.
     pub fn num_sccs(&self) -> usize {
         self.sccs.len()

@@ -269,6 +269,151 @@ pub fn generate_call_graph_module(funcs: usize, seed: u64) -> Module {
     m
 }
 
+/// Generates a module of `funcs` interlinked functions whose pointer
+/// dataflow reaches only part of the call graph, deterministically
+/// from `seed`.
+///
+/// [`generate_call_graph_module`] threads a pointer through every call
+/// edge and back through every return, so an edit anywhere can reach
+/// (and an incremental session must re-solve) its whole weak component.
+/// Here the signatures vary instead:
+///
+/// * about a third of the functions take only an `int`, so a seeded
+///   share of call edges pass only integers and carry no pointer state;
+/// * returns are drawn from `None`, `Int` and `Ptr`, so only some call
+///   results read a callee's return state;
+/// * the call shapes are those of [`generate_call_graph_module`] —
+///   chains, recursive rings of 2–3 (whose members may all be
+///   int-only or return no pointer), fans and forward cross links.
+///
+/// A function without a pointer formal allocates its own buffer.
+/// `main` (exported, added last) calls every segment head, passing a
+/// fresh buffer wherever the head takes a pointer.
+pub fn generate_mixed_dataflow_module(funcs: usize, seed: u64) -> Module {
+    let funcs = funcs.max(1);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xd47a_f10e);
+
+    // Signatures first, so call sites can be synthesized in one pass.
+    let sigs: Vec<(Vec<Ty>, Option<Ty>)> = (0..funcs)
+        .map(|_| {
+            let params = if rng.gen_bool(0.35) {
+                vec![Ty::Int]
+            } else {
+                vec![Ty::Ptr, Ty::Int]
+            };
+            let ret = match rng.gen_range(0..3) {
+                0 => None,
+                1 => Some(Ty::Int),
+                _ => Some(Ty::Ptr),
+            };
+            (params, ret)
+        })
+        .collect();
+    let mut callees: Vec<Vec<FuncId>> = vec![Vec::new(); funcs];
+    let mut heads: Vec<FuncId> = Vec::new();
+    let mut i = 0usize;
+    while i < funcs {
+        heads.push(FuncId::new(i));
+        let remaining = funcs - i;
+        match rng.gen_range(0..4) {
+            0 => {
+                let len = rng.gen_range(2..10).min(remaining);
+                for k in 0..len - 1 {
+                    callees[i + k].push(FuncId::new(i + k + 1));
+                }
+                i += len;
+            }
+            1 if remaining >= 2 => {
+                let len = rng.gen_range(2..4).min(remaining);
+                for k in 0..len {
+                    callees[i + k].push(FuncId::new(i + (k + 1) % len));
+                }
+                i += len;
+            }
+            2 if remaining >= 3 => {
+                let width = rng.gen_range(2..6).min(remaining - 1);
+                for k in 0..width {
+                    callees[i].push(FuncId::new(i + 1 + k));
+                }
+                i += width + 1;
+            }
+            _ => i += 1,
+        }
+    }
+    for _ in 0..funcs / 5 {
+        let from = rng.gen_range(0..funcs.saturating_sub(1).max(1));
+        let to = rng.gen_range(from + 1..funcs);
+        let target = FuncId::new(to);
+        if !callees[from].contains(&target) {
+            callees[from].push(target);
+        }
+    }
+
+    let mut m = Module::new();
+    for (idx, targets) in callees.iter().enumerate() {
+        let (params, ret) = &sigs[idx];
+        let mut b = FunctionBuilder::new(&format!("d{idx}"), params, *ret);
+        let (p, n) = if params[0] == Ty::Ptr {
+            (b.param(0), b.param(1))
+        } else {
+            let n = b.param(0);
+            let size = b.const_int(rng.gen_range(4..32));
+            (b.malloc(size), n)
+        };
+        let step = b.const_int(rng.gen_range(1..4));
+        let q = b.ptr_add(p, step);
+        let (mut last_ptr, mut last_int) = (q, n);
+        for &t in targets {
+            let (t_params, t_ret) = &sigs[t.index()];
+            let args: Vec<_> = t_params
+                .iter()
+                .map(|ty| if *ty == Ty::Ptr { q } else { n })
+                .collect();
+            let out = b.call(Callee::Internal(t), &args, *t_ret);
+            match t_ret {
+                Some(Ty::Ptr) => last_ptr = out,
+                Some(Ty::Int) => last_int = out,
+                None => {}
+            }
+        }
+        let one = b.const_int(1);
+        let r = b.ptr_add(last_ptr, one);
+        b.store(r, last_int);
+        match ret {
+            Some(Ty::Ptr) => b.ret(Some(if rng.gen_bool(0.5) { q } else { r })),
+            Some(Ty::Int) => b.ret(Some(last_int)),
+            None => b.ret(None),
+        }
+        let mut f = b.finish();
+        sra_ir::essa::run(&mut f);
+        m.add_function(f);
+    }
+    let mut b = FunctionBuilder::new("main", &[], Some(Ty::Int));
+    for &h in &heads {
+        let n = b.call(Callee::External("atoi".into()), &[], Some(Ty::Int));
+        let (params, ret) = &sigs[h.index()];
+        let args: Vec<_> = params
+            .iter()
+            .map(|ty| {
+                if *ty == Ty::Ptr {
+                    let pad = b.const_int(64);
+                    let size = b.binop(BinOp::Add, n, pad);
+                    b.malloc(size)
+                } else {
+                    n
+                }
+            })
+            .collect();
+        let _ = b.call(Callee::Internal(h), &args, *ret);
+    }
+    let zero = b.const_int(0);
+    b.ret(Some(zero));
+    let mut main = b.finish();
+    main.set_exported(true);
+    m.add_function(main);
+    m
+}
+
 /// How far apart the constant offsets of a giant-function clique are
 /// spread. Small enough that same-clique pointers with equal offsets
 /// exist (MayAlias), large enough that most same-clique pairs have
@@ -459,6 +604,37 @@ mod tests {
             sra_ir::print_module(&again),
             "generator must be deterministic"
         );
+    }
+
+    #[test]
+    fn mixed_dataflow_module_verifies_and_mixes_signatures() {
+        let m = generate_mixed_dataflow_module(120, 5);
+        sra_ir::verify::verify_module(&m).expect("verified");
+        assert_eq!(m.num_functions(), 121); // 120 + main
+        let again = generate_mixed_dataflow_module(120, 5);
+        assert_eq!(
+            sra_ir::print_module(&m),
+            sra_ir::print_module(&again),
+            "generator must be deterministic"
+        );
+        let int_only = m
+            .func_ids()
+            .filter(|&f| !m.function(f).param_tys().contains(&Ty::Ptr))
+            .count();
+        assert!(int_only > 0, "some functions take no pointer");
+        for ret in [None, Some(Ty::Int), Some(Ty::Ptr)] {
+            assert!(
+                m.func_ids().any(|f| m.function(f).ret_ty() == ret),
+                "some function returns {ret:?}"
+            );
+        }
+        let cond = sra_ir::callgraph::Condensation::of_module(&m);
+        assert!(
+            (0..cond.num_sccs() as u32).any(|s| cond.is_recursive(s)),
+            "expected at least one recursive ring"
+        );
+        let metrics = crate::harness::evaluate(&m);
+        assert!(metrics.queries > 0);
     }
 
     #[test]

@@ -39,20 +39,14 @@ fn main() {
 
         // What a batch system would do instead: full re-analysis.
         let t = std::time::Instant::now();
-        let scratch = analyze_parallel(session.module(), config);
+        std::hint::black_box(analyze_parallel(session.module(), config));
         scratch_time += t.elapsed();
 
-        // The session's contract: byte-identical states after every edit.
-        let f = session
-            .module()
-            .func_ids()
-            .next()
-            .expect("module has functions");
-        let v = session.module().function(f).value_ids().next().unwrap();
-        assert_eq!(
-            session.analysis().gr().state(f, v),
-            scratch.gr().state(f, v)
-        );
+        // The session's contract: after every edit, every range, GR
+        // and LR state is byte-identical to a scratch re-analysis.
+        session
+            .verify_against_scratch()
+            .expect("byte-identical states after every edit");
     }
 
     let stats = session.stats();
@@ -61,9 +55,12 @@ fn main() {
         stats.edits, stats.parts_reanalyzed, stats.parts_reused, stats.parts_rebased
     );
     println!(
-        "GR components: {} solved, {} reused; matrices: {} rebuilt, {} reused",
+        "GR components: {} solved, {} reused; GR functions: {} solved, {} reused; \
+         matrices: {} rebuilt, {} reused",
         stats.gr_components_solved,
         stats.gr_components_reused,
+        stats.gr_functions_solved,
+        stats.gr_functions_reused,
         stats.matrices_rebuilt,
         stats.matrices_reused
     );

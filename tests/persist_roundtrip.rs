@@ -13,7 +13,10 @@
 use std::hash::Hasher;
 
 use proptest::prelude::*;
-use sra::core::{pointer_values, AnalysisConfig, AnalysisSession, PersistError, QueryMode};
+use sra::core::{
+    analyze_parallel, pointer_values, AnalysisConfig, AnalysisSession, BatchAnalysis, PersistError,
+    QueryMode,
+};
 use sra::symbolic::FxHasher;
 use sra::workloads::edits;
 use sra::workloads::scaling;
@@ -57,9 +60,51 @@ fn assert_roundtrip(session: &AnalysisSession) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Asserts that `session` — a loaded session edited after the load —
+/// equals a scratch analysis of its module: symbol tables, sweep
+/// counts, every range/GR/LR state (`verify_against_scratch`), every
+/// verdict, and in matrix mode every per-function statistic.
+fn assert_matches_scratch(session: &AnalysisSession) -> Result<(), TestCaseError> {
+    let m = session.module();
+    let scratch = analyze_parallel(m, session.config());
+    let rbaa = session.analysis();
+    prop_assert!(rbaa.symbols().iter().eq(scratch.symbols().iter()));
+    prop_assert!(rbaa.lr().symbols().iter().eq(scratch.lr().symbols().iter()));
+    prop_assert_eq!(
+        rbaa.gr().ascending_sweeps(),
+        scratch.gr().ascending_sweeps(),
+        "ascending sweep counts diverged"
+    );
+    if let Err(e) = session.verify_against_scratch() {
+        return Err(TestCaseError::fail(format!("{e}")));
+    }
+    let batch = BatchAnalysis::from_rbaa(scratch, m, 1);
+    for f in m.func_ids() {
+        let ptrs = pointer_values(m, f);
+        for &p in &ptrs {
+            for &q in &ptrs {
+                prop_assert_eq!(
+                    session.alias_with_test(f, p, q),
+                    batch.alias_with_test(f, p, q),
+                    "verdict diverged at {}: {} vs {}",
+                    f,
+                    p,
+                    q
+                );
+            }
+        }
+        if session.query_mode() == QueryMode::Matrix {
+            prop_assert_eq!(session.stats_of(f), batch.stats(f));
+        }
+    }
+    Ok(())
+}
+
 /// One randomized case: build a session (matrix or demand mode per
-/// `demand`), roundtrip it cold, replay an edit stream, roundtrip the
-/// warmed result.
+/// `demand`), roundtrip it cold, replay the first half of an edit
+/// stream, save and load it, replay the second half on both the live
+/// and the loaded session (which must stay equal, and equal to
+/// scratch), and roundtrip the warmed live result.
 fn run_roundtrip(
     m: sra::ir::Module,
     num_edits: usize,
@@ -80,9 +125,30 @@ fn run_roundtrip(
     let stream = edits::generate_edit_stream(&m, num_edits, edit_seed);
     let mut session = AnalysisSession::with_config(m, config).expect("generated modules verify");
     assert_roundtrip(&session)?;
-    for edit in &stream {
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    for edit in head {
         edits::apply_to_session(&mut session, edit).expect("stream edits are valid");
     }
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("in-memory save");
+    let mut loaded = AnalysisSession::load(&mut bytes.as_slice()).expect("snapshot loads");
+    for edit in tail {
+        edits::apply_to_session(&mut session, edit).expect("stream edits are valid");
+        edits::apply_to_session(&mut loaded, edit).expect("stream edits are valid");
+        prop_assert_eq!(loaded.stats(), session.stats());
+        prop_assert_eq!(loaded.gr_solved_functions(), session.gr_solved_functions());
+    }
+    // Compare the saves before any query: demand-mode queries grow the
+    // cache, which is part of the snapshot.
+    let (mut live_bytes, mut loaded_bytes) = (Vec::new(), Vec::new());
+    session.save(&mut live_bytes).expect("in-memory save");
+    loaded.save(&mut loaded_bytes).expect("in-memory save");
+    prop_assert_eq!(
+        &loaded_bytes,
+        &live_bytes,
+        "an edited loaded session saves exactly like the live one"
+    );
+    assert_matches_scratch(&loaded)?;
     if demand {
         // Grow the demand cache so the snapshot carries signatures and
         // memoised pairs, not just the assembled analysis.
@@ -167,6 +233,15 @@ fn corruption_is_rejected_never_misread() {
             bytes.len()
         );
     }
+
+    // A format-v3 stream (component caches without settle sweeps) is
+    // refused by version, not misparsed.
+    let mut v3 = bytes.clone();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(
+        AnalysisSession::load(&mut v3.as_slice()),
+        Err(PersistError::UnsupportedVersion(3))
+    ));
 
     // A format-v2 stream (the full-triangle matrix layout) is refused
     // by version, not misparsed.
@@ -392,6 +467,129 @@ fn matrix_block_corruption_is_rejected_never_misread() {
         "a set block-code padding bit",
     );
     assert!(why.contains("padding"), "{why}");
+}
+
+/// One GR component cache of a format-v4 snapshot.
+struct ComponentItem {
+    members: Vec<u32>,
+    settle: Vec<u32>,
+    sweeps: u32,
+    tripped: u8,
+    final_trip: u8,
+}
+
+fn take_u32(b: &[u8], at: &mut usize) -> u32 {
+    let v = u32::from_le_bytes(b[*at..*at + 4].try_into().unwrap());
+    *at += 4;
+    v
+}
+
+/// Rewrites the component caches of `snapshot` with `mutate`,
+/// re-sealing the section checksum so only the component decoder can
+/// object.
+fn corrupt_components(snapshot: &[u8], mutate: impl Fn(&mut [ComponentItem])) -> Vec<u8> {
+    const COMPONENTS: u8 = 5;
+    let mut out = snapshot[..12].to_vec();
+    let mut at = 12;
+    while at < snapshot.len() {
+        let tag = snapshot[at];
+        at += 1;
+        let mut payload = take_bytes(snapshot, &mut at);
+        at += 8;
+        if tag == COMPONENTS {
+            let mut p = 0;
+            let count = take_u64(&payload, &mut p);
+            let mut comps: Vec<ComponentItem> = (0..count)
+                .map(|_| {
+                    let n = take_u64(&payload, &mut p);
+                    let members = (0..n).map(|_| take_u32(&payload, &mut p)).collect();
+                    let n = take_u64(&payload, &mut p);
+                    let settle = (0..n).map(|_| take_u32(&payload, &mut p)).collect();
+                    let sweeps = take_u32(&payload, &mut p);
+                    p += 2;
+                    ComponentItem {
+                        members,
+                        settle,
+                        sweeps,
+                        tripped: payload[p - 2],
+                        final_trip: payload[p - 1],
+                    }
+                })
+                .collect();
+            assert_eq!(p, payload.len(), "component section fully parsed");
+            mutate(&mut comps);
+            let mut rebuilt = count.to_le_bytes().to_vec();
+            for c in &comps {
+                rebuilt.extend((c.members.len() as u64).to_le_bytes());
+                c.members
+                    .iter()
+                    .for_each(|m| rebuilt.extend(m.to_le_bytes()));
+                rebuilt.extend((c.settle.len() as u64).to_le_bytes());
+                c.settle
+                    .iter()
+                    .for_each(|s| rebuilt.extend(s.to_le_bytes()));
+                rebuilt.extend(c.sweeps.to_le_bytes());
+                rebuilt.extend([c.tripped, c.final_trip]);
+            }
+            payload = rebuilt;
+        }
+        let mut h = FxHasher::default();
+        h.write(&payload);
+        out.push(tag);
+        put_bytes(&mut out, &payload);
+        out.extend(h.finish().to_le_bytes());
+    }
+    out
+}
+
+/// The component decoder's settle-sweep checks, one corrupted stream
+/// each, re-sealed under a valid checksum: a settle table whose length
+/// differs from the member list, and settle sweeps inconsistent with
+/// the component's sweep count. Each must be a structured
+/// [`PersistError::Corrupt`] naming its check.
+#[test]
+fn component_settle_corruption_is_rejected_never_misread() {
+    let m = scaling::generate_module(120, 9);
+    let session = AnalysisSession::with_config(m, AnalysisConfig::default())
+        .expect("generated modules verify");
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("in-memory save");
+    let rejected = |bad: Vec<u8>, what: &str| match AnalysisSession::load(&mut bad.as_slice()) {
+        Err(PersistError::Corrupt(why)) => why,
+        other => panic!("{what}: expected a corrupt-stream error, got {other:?}"),
+    };
+    // The untouched rewrite still loads: only the mutations object.
+    assert!(AnalysisSession::load(&mut corrupt_components(&bytes, |_| {}).as_slice()).is_ok());
+
+    // One settle entry short of the member list.
+    let why = rejected(
+        corrupt_components(&bytes, |comps| {
+            comps[0].settle.pop();
+        }),
+        "a short settle table",
+    );
+    assert!(why.contains("settle table"), "{why}");
+
+    // A member settling on the sweep that found no change.
+    let why = rejected(
+        corrupt_components(&bytes, |comps| {
+            let c = &mut comps[0];
+            assert_eq!(c.tripped, 0, "the workload converges");
+            c.settle[0] = c.sweeps;
+        }),
+        "a settle sweep past the last changing sweep",
+    );
+    assert!(why.contains("settle sweeps"), "{why}");
+
+    // No member changing on the last changing sweep.
+    let why = rejected(
+        corrupt_components(&bytes, |comps| {
+            let c = &mut comps[0];
+            c.sweeps += 1;
+        }),
+        "a sweep count beyond the last change",
+    );
+    assert!(why.contains("settle sweeps"), "{why}");
 }
 
 /// 512-case sweep of the roundtrip property, split across both

@@ -107,10 +107,22 @@ fn run_stream(
         );
         edits::apply_to_session(&mut session, edit).expect("stream edits are valid");
         let after = *session.stats();
+        prop_assert_eq!(
+            after.gr_functions_solved + after.gr_functions_reused
+                - before.gr_functions_solved
+                - before.gr_functions_reused,
+            session.module().num_functions(),
+            "every function's GR states are either re-solved or reused"
+        );
+        prop_assert_eq!(
+            after.gr_functions_solved - before.gr_functions_solved,
+            session.gr_solved_functions().len()
+        );
         if noop {
             prop_assert_eq!(after.parts_reanalyzed, before.parts_reanalyzed);
             prop_assert_eq!(after.matrices_rebuilt, before.matrices_rebuilt);
             prop_assert_eq!(after.gr_components_solved, before.gr_components_solved);
+            prop_assert_eq!(after.gr_functions_solved, before.gr_functions_solved);
             prop_assert!(after.parts_reused > before.parts_reused);
             prop_assert!(after.matrices_reused > before.matrices_reused);
         } else if matches!(edit, Edit::Replace { .. }) && nf > 1 {
@@ -136,7 +148,9 @@ fn run_stream(
 // Tier-1 budget (`PROPTEST_CASES` overrides): 24 cases over the flat
 // scaling generator + 24 over the call-graph generator, whose deep
 // chains, recursive cliques and wide fans exercise SCC splits/merges
-// and multi-component invalidation.
+// and multi-component invalidation, + 24 over the mixed-dataflow
+// generator, whose int-only calls and non-pointer returns make an
+// edit's pointer-dataflow closure a strict subset of its component.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -167,9 +181,24 @@ proptest! {
         let m = scaling::generate_call_graph_module(funcs, seed);
         run_stream(m, num_edits, edit_seed, threads)?;
     }
+
+    /// Mixed-dataflow modules: partial re-solves of a component (the
+    /// closure of each edit) carry the load, including their fallbacks.
+    #[test]
+    fn session_equals_scratch_on_mixed_dataflow_modules(
+        funcs in 10usize..60,
+        seed in 0u64..10_000,
+        edit_seed in 0u64..10_000,
+        num_edits in 2usize..6,
+        threads in 1usize..5,
+    ) {
+        let m = scaling::generate_mixed_dataflow_module(funcs, seed);
+        run_stream(m, num_edits, edit_seed, threads)?;
+    }
 }
 
-/// 512-case sweep of the same property (split across both generators).
+/// 768-case sweep of the same property (split across the three
+/// generators).
 /// Excluded from tier-1; run with
 /// `cargo test -q --release --test session_equivalence -- --ignored`.
 #[test]
@@ -203,6 +232,22 @@ fn deep_fuzz_session_equivalence() {
             ),
             |(funcs, seed, edit_seed, num_edits, threads)| {
                 let m = scaling::generate_call_graph_module(funcs, seed);
+                run_stream(m, num_edits, edit_seed, threads)
+            },
+        )
+        .unwrap();
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(256));
+    runner
+        .run(
+            &(
+                10usize..80,
+                0u64..1_000_000,
+                0u64..1_000_000,
+                2usize..7,
+                1usize..5,
+            ),
+            |(funcs, seed, edit_seed, num_edits, threads)| {
+                let m = scaling::generate_mixed_dataflow_module(funcs, seed);
                 run_stream(m, num_edits, edit_seed, threads)
             },
         )
